@@ -22,6 +22,7 @@
 
 #include "core/fl/coordinator.hpp"
 #include "tensor/state_dict.hpp"
+#include "util/bytebuffer.hpp"
 #include "util/rng.hpp"
 
 namespace fedsz::core {
@@ -82,5 +83,16 @@ std::optional<CheckpointState> read_checkpoint(const std::string& path);
 /// checkpoint settings themselves.
 std::uint32_t run_fingerprint(const FlRunConfig& config,
                               const nn::ModelConfig& model);
+
+/// Link-config codecs shared by the run fingerprint and the federation
+/// manifest, so the two always encode a link the same way. The decoders
+/// throw CorruptStream on a malformed presence flag.
+void put_profile(ByteWriter& out, const net::NetworkProfile& profile);
+net::NetworkProfile get_profile(ByteReader& in);
+void put_heterogeneous(
+    ByteWriter& out,
+    const std::optional<net::HeterogeneousNetworkConfig>& config);
+std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
+    ByteReader& in);
 
 }  // namespace fedsz::core

@@ -9,6 +9,7 @@
 
 #include "core/codec_spec.hpp"
 #include "core/fl/checkpoint.hpp"
+#include "core/fl/round_steps.hpp"
 #include "net/virtual_clock.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -198,11 +199,7 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
       codec_(std::move(codec)),
       scheduler_(scheduler ? std::move(scheduler) : make_sync_scheduler()),
       server_(model_config),
-      population_(config_.population.empty()
-                      ? nullptr
-                      : std::make_unique<ClientPopulation>(
-                            config_.population, config_.clients,
-                            config_.seed)),
+      population_(make_population(config_)),
       network_(build_population_network(config_, population_.get())) {
   if (!codec_) throw InvalidArgument("FlCoordinator: null update codec");
   if (!config_.failures.empty() && scheduler_->continuous())
@@ -244,11 +241,8 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
       throw InvalidArgument(
           "FlCoordinator: hierarchical topology requires a barrier "
           "scheduler (sync or sampled_sync)");
-    TopologyConfig tree_config = config_.topology;
-    if (tree_config.sharding == ShardStrategy::kShuffled &&
-        tree_config.shard_seed == 0)
-      tree_config.shard_seed = config_.seed ^ 0x5A4DD00Dull;
-    tree_ = std::make_unique<AggregationTree>(tree_config, config_.clients);
+    tree_ = std::make_unique<AggregationTree>(
+        with_shard_seed(config_.topology, config_.seed), config_.clients);
   }
   if (!config_.downlink_spec.empty())
     downlink_ = std::make_unique<DownlinkChannel>(
@@ -257,29 +251,11 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
         config_.clients);
   feedback_.resize(config_.clients);
   const auto shards = build_client_shards(*train, config_, population_.get());
-  Rng speed_rng(config_.seed ^ 0xC0DEC10Cull);
-  compute_seconds_.reserve(config_.clients);
-  for (std::size_t i = 0; i < config_.clients; ++i) {
-    ClientConfig client_config = config_.client;
-    client_config.seed = config_.seed ^ (0xC11E47ull * (i + 1));
-    clients_.push_back(std::make_unique<FlClient>(
-        static_cast<int>(i), model_config_,
-        std::make_shared<data::SubsetDataset>(train, shards[i]),
-        client_config));
-    // Deterministic virtual training time: proportional to the shard, with
-    // an optional per-client speed spread (heterogeneous devices) and the
-    // device class's compute multiplier (after the jitter draw, so the
-    // speed stream's consumption never depends on the population).
-    const double factor = speed_rng.uniform(1.0 - config_.compute_jitter,
-                                            1.0 + config_.compute_jitter);
-    const double class_multiplier =
-        population_ ? population_->compute_multiplier(i) : 1.0;
-    compute_seconds_.push_back(
-        config_.compute_seconds_per_sample *
-        static_cast<double>(shards[i].size()) *
-        static_cast<double>(config_.client.local_epochs) * factor *
-        class_multiplier);
-  }
+  for (std::size_t i = 0; i < config_.clients; ++i)
+    clients_.push_back(
+        make_client(i, model_config_, train, shards[i], config_));
+  compute_seconds_ =
+      client_compute_budgets(config_, shards, population_.get());
 }
 
 FlRunResult FlCoordinator::run() {
@@ -290,14 +266,8 @@ FlRunResult FlCoordinator::run() {
   // What a dispatched client hands back once its real work (broadcast
   // decode + local SGD + update encoding on the pool) completes.
   struct WorkerOut {
-    Bytes payload;
-    std::size_t samples = 0;
-    CompressionStats stats;  // the encode pass (bytes, plan census, timing)
-    double train_seconds = 0.0;
-    double mean_loss = 0.0;
+    ProducedUpdate update;
     double downlink_decode_seconds = 0.0;  // per-client broadcast decode
-    double ef_residual_norm = 0.0;         // after this update's encode
-    double ef_decode_seconds = 0.0;  // decoding own payload for the residual
   };
   // One slot per client; a client has at most one update in flight.
   struct InFlight {
@@ -306,12 +276,7 @@ FlRunResult FlCoordinator::run() {
     int dispatch_round = 0;
     double dispatch_seconds = 0.0;
     double transfer_seconds = 0.0;
-    // Downlink leg (zeros when the broadcast is free/lossless).
-    std::size_t downlink_bytes = 0;
-    std::size_t downlink_raw_bytes = 0;
-    double downlink_seconds = 0.0;
-    double downlink_encode_seconds = 0.0;
-    double downlink_decode_seconds = 0.0;  // kFull shared decode
+    DownlinkLeg downlink;  // decode_seconds: the kFull shared decode
   };
   // Shared kFull broadcast product: encoded once, decoded once, delivered
   // down the tree. Hoisted so the recursive fan-out handler can name it.
@@ -324,16 +289,12 @@ FlRunResult FlCoordinator::run() {
 
   net::EventQueue queue;
   std::vector<InFlight> flights(clients_.size());
-  Rng cohort_rng(config_.seed ^ 0x5C4ED11Eull);
+  RoundStreams streams(config_.seed);
   // Churn draws ride their own stream: a failure-free run consumes exactly
   // the randomness it did before churn existed, keeping trajectory pins.
   Rng failure_rng(config_.failures.seed
                       ? config_.failures.seed
                       : (config_.seed ^ 0xFA17A1E5ull));
-  // Population availability draws ride their own stream too (advanced only
-  // when a population is active), checkpointed so a resumed run replays the
-  // exact eligibility sequence.
-  Rng eligibility_rng(config_.seed ^ 0xE11D1B1Eull);
   int completed = 0;  // aggregations finished so far
   bool stopped = false;
   RoundRecord record;
@@ -346,16 +307,17 @@ FlRunResult FlCoordinator::run() {
   std::vector<Phase> phase(clients_.size(), Phase::kIdle);
   std::vector<std::uint64_t> generation(clients_.size(), 0);
   std::vector<char> dropped(clients_.size(), 0);  // this round's dropout draws
-  // This round's availability draws (all 1 when no population is active).
-  std::vector<char> eligible(clients_.size(), 1);
   // Tier-1 edge owning each client THIS round (crash re-sharding moves it).
   std::vector<std::size_t> owner_round(clients_.size(), 0);
+  // The aggregation point folding client i's update (see ClientTraceEntry).
+  const auto node_of = [&](std::size_t i) -> std::size_t {
+    return tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
+  };
 
   // Root state: arrivals folded/merged since the round opened and the count
   // that closes it (updates when flat, top-tier partials when hier).
   std::size_t root_folded = 0;
   std::size_t root_goal = 0;
-  std::size_t merged_partials = 0;  // partials merged this round, all tiers
   // Shipped partials whose arrival event has not executed yet. Whatever is
   // still in flight when the run stops never merges anywhere — fold those
   // into late_events at exit so weight that left an edge is always either
@@ -387,10 +349,14 @@ FlRunResult FlCoordinator::run() {
   };
   std::vector<std::vector<NodeRound>> nodes(levels);
   for (std::size_t l = 0; l < levels; ++l) nodes[l].resize(tree_->level_size(l));
-  // This round's member set per tier-1 edge (after crash re-sharding) and
-  // the drawn cohort, in dispatch order.
-  std::vector<std::vector<std::size_t>> edge_members(edge_count);
-  std::vector<std::vector<std::size_t>> edge_cohort(edge_count);
+  // This round's member set per tier-1 edge (after crash re-sharding; a
+  // flat run is one edge holding everyone) and the drawn cohort, in
+  // dispatch order.
+  std::vector<std::vector<std::size_t>> edge_members(tree_ ? edge_count : 1);
+  if (!tree_)
+    for (std::size_t i = 0; i < clients_.size(); ++i)
+      edge_members[0].push_back(i);
+  std::vector<std::vector<std::size_t>> edge_cohort;
   // Participating children of each node above tier 1 (level l-1 indices).
   std::vector<std::vector<std::vector<std::size_t>>> children_part(levels);
   for (std::size_t l = 1; l < levels; ++l)
@@ -403,18 +369,12 @@ FlRunResult FlCoordinator::run() {
   using PayloadPtr = std::shared_ptr<const Bytes>;
 
   // The client's real work, run on the pool: decode the broadcast payload
-  // when one was delivered (per-client path), train on the resulting model,
-  // fold in the error-feedback residual, encode, and — with EF on — absorb
-  // what the encoder dropped (reconstruction read back from the payload)
-  // into the residual carried to the next round. Per-client state
-  // (feedback_[i], downlink session i) is safe without locks because a
-  // client never has two tasks alive at once (dispatch waits out a stale
-  // evicted task before reusing the slot).
-  // EF against a lossless uplink is provably a zero residual forever; skip
-  // the per-round payload decode and residual passes outright.
-  const bool ef_on = config_.error_feedback && !codec_->lossless();
-  auto client_work = [this, ef_on](std::size_t i, int round, Snapshot model,
-                                   PayloadPtr broadcast) -> WorkerOut {
+  // when one was delivered (per-client path), then train and encode on the
+  // resulting model. Per-client state (feedback_[i], downlink session i) is
+  // safe without locks because a client never has two tasks alive at once
+  // (dispatch waits out a stale evicted task before reusing the slot).
+  auto client_work = [this](std::size_t i, int round, Snapshot model,
+                            PayloadPtr broadcast) -> WorkerOut {
     WorkerOut out;
     StateDict decoded_model;
     const StateDict* train_on = model.get();
@@ -427,28 +387,9 @@ FlRunResult FlCoordinator::run() {
       out.downlink_decode_seconds = downlink_stats.decompress_seconds;
       train_on = &decoded_model;
     }
-    ClientRoundResult round_result = clients_[i]->run_round(*train_on);
-    EncodeContext ctx;
-    ctx.round = round;
-    ctx.client_id = static_cast<int>(i);
-    ctx.steps = round_result.steps;
-    StateDict update = std::move(round_result.update);
-    if (ef_on) update = feedback_[i].apply(update);
-    UpdateCodec::Encoded encoded = codec_->encode(update, ctx);
-    if (ef_on) {
-      // The server will decode exactly this; what it misses is carried over.
-      CompressionStats ef_stats;
-      const StateDict reconstruction = codec_->decode(
-          {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
-      feedback_[i].absorb(update, reconstruction);
-      out.ef_residual_norm = feedback_[i].residual_norm();
-      out.ef_decode_seconds = ef_stats.decompress_seconds;
-    }
-    out.samples = round_result.samples;
-    out.stats = encoded.stats;
-    out.train_seconds = round_result.train_seconds;
-    out.mean_loss = round_result.mean_loss;
-    out.payload = std::move(encoded.payload);
+    out.update = produce_update(*clients_[i], *train_on, round, *codec_,
+                                config_.error_feedback ? &feedback_[i]
+                                                       : nullptr);
     return out;
   };
 
@@ -502,9 +443,9 @@ FlRunResult FlCoordinator::run() {
     ByteWriter aggregator_out;
     server_.aggregator().save_state(aggregator_out);
     state.aggregator_state = aggregator_out.finish();
-    state.cohort_rng = cohort_rng.state();
+    state.cohort_rng = streams.cohort.state();
     state.failure_rng = failure_rng.state();
-    state.eligibility_rng = eligibility_rng.state();
+    state.eligibility_rng = streams.eligibility.state();
     state.client_residuals.reserve(feedback_.size());
     for (const ErrorFeedbackAccumulator& fb : feedback_)
       state.client_residuals.push_back(fb.residual());
@@ -563,26 +504,33 @@ FlRunResult FlCoordinator::run() {
       InFlight& flight = flights[i];
       auto payload = std::make_shared<const Bytes>(
           std::move(broadcast.payload));
-      flight.downlink_bytes = payload->size();
-      flight.downlink_raw_bytes = broadcast.stats.original_bytes;
-      flight.downlink_encode_seconds = broadcast.stats.compress_seconds;
-      flight.downlink_decode_seconds = 0.0;
-      flight.downlink_seconds =
+      flight.downlink.bytes = payload->size();
+      flight.downlink.raw_bytes = broadcast.stats.original_bytes;
+      flight.downlink.encode_seconds = broadcast.stats.compress_seconds;
+      flight.downlink.decode_seconds = 0.0;
+      flight.downlink.seconds =
           network_.link(i).transfer_seconds(payload->size());
-      if (!tree_) {
-        queue.schedule_after(flight.downlink_seconds, [&, i, round, payload] {
-          dispatch(i, round, nullptr, payload);
-        });
-        return;
-      }
       // The client's ancestor chain, bottom-up: path[l] is the node at
-      // level l the payload crosses on its way down.
+      // level l the payload crosses on its way down (none on a flat run).
       auto path = std::make_shared<std::vector<std::size_t>>();
-      path->push_back(owner_round[i]);
-      for (std::size_t l = 1; l < levels; ++l)
-        path->push_back(tree_->parent_of(l - 1, path->back()));
+      for (std::size_t l = 0; l < levels; ++l)
+        path->push_back(l == 0 ? owner_round[i]
+                               : tree_->parent_of(l - 1, path->back()));
       send_hop(0, i, round, path, payload);
     });
+  };
+
+  // Charge one broadcast crossing of node (l, n)'s link; returns its
+  // virtual seconds.
+  const auto charge_hop = [&](std::size_t l, std::size_t n,
+                              std::size_t bytes) {
+    const std::size_t flat = tree_->flat_index(l, n);
+    const double hop = tree_->uplink(l, n).transfer_seconds(bytes);
+    node_downlink_bytes[flat] += bytes;
+    node_downlink_seconds[flat] += hop;
+    record.backhaul_downlink_bytes += bytes;
+    record.backhaul_downlink_seconds += hop;
+    return hop;
   };
 
   // Hop `k` (0 = topmost: root -> top-tier node) of a per-client downlink
@@ -591,19 +539,13 @@ FlRunResult FlCoordinator::run() {
                  std::shared_ptr<const std::vector<std::size_t>> path,
                  PayloadPtr payload) {
     if (k == levels) {
-      queue.schedule_after(flights[i].downlink_seconds, [&, i, round, payload] {
+      queue.schedule_after(flights[i].downlink.seconds, [&, i, round, payload] {
         dispatch(i, round, nullptr, payload);
       });
       return;
     }
     const std::size_t l = levels - 1 - k;
-    const std::size_t n = (*path)[l];
-    const std::size_t flat = tree_->flat_index(l, n);
-    const double hop = tree_->uplink(l, n).transfer_seconds(payload->size());
-    node_downlink_bytes[flat] += payload->size();
-    node_downlink_seconds[flat] += hop;
-    record.backhaul_downlink_bytes += payload->size();
-    record.backhaul_downlink_seconds += hop;
+    const double hop = charge_hop(l, (*path)[l], payload->size());
     queue.schedule_after(hop, [&, k, i, round, path, payload] {
       send_hop(k + 1, i, round, path, payload);
     });
@@ -614,13 +556,13 @@ FlRunResult FlCoordinator::run() {
   deliver_client = [&](std::size_t i, int round,
                        std::shared_ptr<const BroadcastReady> ready) {
     InFlight& flight = flights[i];
-    flight.downlink_bytes = ready->payload.size();
-    flight.downlink_raw_bytes = ready->stats.original_bytes;
-    flight.downlink_encode_seconds = ready->stats.compress_seconds;
-    flight.downlink_decode_seconds = ready->decode_seconds;
-    flight.downlink_seconds =
+    flight.downlink.bytes = ready->payload.size();
+    flight.downlink.raw_bytes = ready->stats.original_bytes;
+    flight.downlink.encode_seconds = ready->stats.compress_seconds;
+    flight.downlink.decode_seconds = ready->decode_seconds;
+    flight.downlink.seconds =
         network_.link(i).transfer_seconds(ready->payload.size());
-    queue.schedule_after(flight.downlink_seconds,
+    queue.schedule_after(flight.downlink.seconds,
                          [&, i, round, model = ready->model] {
                            dispatch(i, round, model, nullptr);
                          });
@@ -631,13 +573,7 @@ FlRunResult FlCoordinator::run() {
   // clients start their own downlink legs when it reaches their edge.
   deliver_subtree = [&](std::size_t l, std::size_t n, int round,
                         std::shared_ptr<const BroadcastReady> ready) {
-    const std::size_t flat = tree_->flat_index(l, n);
-    const double hop =
-        tree_->uplink(l, n).transfer_seconds(ready->payload.size());
-    node_downlink_bytes[flat] += ready->payload.size();
-    node_downlink_seconds[flat] += hop;
-    record.backhaul_downlink_bytes += ready->payload.size();
-    record.backhaul_downlink_seconds += hop;
+    const double hop = charge_hop(l, n, ready->payload.size());
     queue.schedule_after(hop, [&, l, n, round, ready] {
       if (l == 0) {
         for (const std::size_t i : edge_cohort[n])
@@ -683,23 +619,24 @@ FlRunResult FlCoordinator::run() {
     });
   };
 
-  // Virtual compute done: collect the encoded update (waiting for the real
-  // work if it is still running) and put it on this client's link. A stale
+  // Whether a client event still belongs to a live dispatch. A stale
   // generation or a non-pending phase means this dispatch was superseded
   // (evicted, or its round closed under it); kIdle specifically means the
   // round already closed — count it, the record is immutable.
+  const auto live_dispatch = [&](std::size_t i, std::uint64_t gen) {
+    if (stopped || gen != generation[i]) return false;
+    if (phase[i] == Phase::kIdle) ++result.late_events;
+    return phase[i] == Phase::kPending;
+  };
+
+  // Virtual compute done: collect the encoded update (waiting for the real
+  // work if it is still running) and put it on this client's link.
   on_upload = [&](std::size_t i, std::uint64_t gen) {
-    if (stopped) return;
-    if (gen != generation[i]) return;
-    if (phase[i] == Phase::kIdle) {
-      ++result.late_events;
-      return;
-    }
-    if (phase[i] != Phase::kPending) return;
+    if (!live_dispatch(i, gen)) return;
     InFlight& flight = flights[i];
     flight.out = flight.future.get();
     flight.transfer_seconds =
-        network_.link(i).transfer_seconds(flight.out.payload.size());
+        network_.link(i).transfer_seconds(flight.out.update.payload.size());
     queue.schedule_after(flight.transfer_seconds,
                          [&, i, gen] { on_arrival(i, gen); });
   };
@@ -711,37 +648,7 @@ FlRunResult FlCoordinator::run() {
   };
 
   close_round = [&] {
-    if (record.participants == 0)
-      // Everything churned away: keep the global untouched this round.
-      server_.abort_round();
-    else
-      server_.finalize_round();
-    if (record.participants > 0) {
-      const double inv = 1.0 / static_cast<double>(record.participants);
-      record.train_seconds *= inv;
-      record.compress_seconds *= inv;
-      record.decompress_seconds *= inv;
-      record.comm_seconds *= inv;
-      record.mean_loss *= inv;
-      record.downlink_seconds *= inv;
-      record.downlink_encode_seconds *= inv;
-      record.downlink_decode_seconds *= inv;
-      record.mean_ef_residual_norm *= inv;
-      record.ef_decode_seconds *= inv;
-    }
-    if (merged_partials > 0) {
-      const double inv_edges = 1.0 / static_cast<double>(merged_partials);
-      record.backhaul_seconds *= inv_edges;
-      record.backhaul_encode_seconds *= inv_edges;
-      record.backhaul_decode_seconds *= inv_edges;
-      record.backhaul_downlink_seconds *= inv_edges;
-    }
-    record.virtual_seconds = queue.now();
-    if (config_.evaluate_every_round || completed + 1 == config_.rounds) {
-      Timer eval_timer;
-      record.accuracy = server_.evaluate(*test_, config_.eval_limit);
-      record.eval_seconds = eval_timer.seconds();
-    }
+    finish_round(record, server_, queue.now(), config_, *test_);
     result.rounds.push_back(std::move(record));
     ++completed;
     if (!config_.checkpoint_path.empty() &&
@@ -801,24 +708,22 @@ FlRunResult FlCoordinator::run() {
     check_node(l, n);
   };
 
-  // A client drawn as a dropout vanished mid-round: trace it (weight 0) and
-  // release its aggregation point from waiting on it.
+  // Trace a dispatched client that will deliver nothing (weight 0), at
+  // the moment it went silent or the server gave up on it.
+  const auto trace_flight = [&](std::size_t i, DeliveryStatus status) {
+    const InFlight& f = flights[i];
+    trace_undelivered(record, i, node_of(i), status, f.dispatch_round,
+                      f.dispatch_seconds, queue.now(), population_.get(),
+                      f.downlink);
+  };
+
+  // A client drawn as a dropout vanished mid-round: trace it and release
+  // its aggregation point from waiting on it.
   on_drop = [&](std::size_t i, std::uint64_t gen) {
     if (stopped) return;
     if (gen != generation[i] || phase[i] != Phase::kPending) return;
     phase[i] = Phase::kDropped;
-    const InFlight& flight = flights[i];
-    ClientTraceEntry trace;
-    trace.client = i;
-    trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-    trace.dispatch_round = flight.dispatch_round;
-    trace.dispatch_seconds = flight.dispatch_seconds;
-    trace.arrival_seconds = queue.now();  // when the client went silent
-    trace.downlink_bytes = flight.downlink_bytes;
-    trace.downlink_seconds = flight.downlink_seconds;
-    trace.status = DeliveryStatus::kDropped;
-    if (population_) trace.device_class = population_->class_name(i);
-    record.clients.push_back(std::move(trace));
+    trace_flight(i, DeliveryStatus::kDropped);
     if (!tree_) {
       // Barrier goals equal the cohort size, so one fewer possible arrival
       // is one fewer to wait for.
@@ -835,86 +740,49 @@ FlRunResult FlCoordinator::run() {
   // accumulator, score the Eqn (1) decision against this client's own
   // link, and trigger the node's close-out once its goal is met.
   on_arrival = [&](std::size_t i, std::uint64_t gen) {
-    if (stopped) return;
-    if (gen != generation[i]) return;
-    if (phase[i] == Phase::kIdle) {
-      ++result.late_events;
-      return;
-    }
-    if (phase[i] != Phase::kPending) return;
+    if (!live_dispatch(i, gen)) return;
     phase[i] = Phase::kDone;
     InFlight& flight = flights[i];
-    WorkerOut out = std::move(flight.out);
-    flight.out = WorkerOut{};
-    const std::size_t e = tree_ ? owner_round[i] : 0;
-    const std::size_t node_id = tree_ ? 1 + tree_->flat_index(0, e) : 0;
+    WorkerOut out = std::exchange(flight.out, {});
+    const std::size_t e = owner_round[i];  // 0 on a flat run
+    const std::size_t node_id = node_of(i);
 
-    ClientTraceEntry trace;
-    trace.client = i;
-    trace.node = node_id;
-    trace.dispatch_round = flight.dispatch_round;
-    trace.dispatch_seconds = flight.dispatch_seconds;
-    trace.arrival_seconds = queue.now();
-    trace.transfer_seconds = flight.transfer_seconds;
-    trace.payload_bytes = out.payload.size();
-    trace.raw_bytes = out.stats.original_bytes;
-    trace.bound_value = out.stats.mean_bound_value;
-    trace.lossy_tensors = out.stats.lossy_tensors;
-    trace.lossless_tensors = out.stats.lossless_tensors;
-    trace.raw_tensors = out.stats.raw_tensors;
-    trace.sparse_tensors = out.stats.sparse_tensors;
-    trace.downlink_bytes = flight.downlink_bytes;
-    trace.downlink_seconds = flight.downlink_seconds;
-    trace.ef_residual_norm = out.ef_residual_norm;
-    if (population_) trace.device_class = population_->class_name(i);
+    ClientDelivery delivery = delivery_of(i, out.update);
+    delivery.node = node_id;
+    delivery.dispatch_round = flight.dispatch_round;
+    delivery.dispatch_seconds = flight.dispatch_seconds;
+    delivery.arrival_seconds = queue.now();
+    delivery.transfer_seconds = flight.transfer_seconds;
+    delivery.downlink = flight.downlink;
+    delivery.downlink.decode_seconds += out.downlink_decode_seconds;
 
     if (tree_ && !nodes[0][e].open) {
       // Its buffered edge already shipped: the update landed with nowhere
       // to fold. Trace it, but keep it out of every round total.
-      trace.status = DeliveryStatus::kLate;
-      record.clients.push_back(std::move(trace));
+      trace_delivery(record, delivery, population_.get()).status =
+          DeliveryStatus::kLate;
       return;
     }
 
     CompressionStats decode_stats;
-    StateDict update = codec_->decode({out.payload.data(), out.payload.size()},
-                                      &decode_stats);
+    const Bytes& payload = out.update.payload;
+    StateDict update =
+        codec_->decode({payload.data(), payload.size()}, &decode_stats);
     ++live[node_id];
     peak[node_id] = std::max(peak[node_id], live[node_id]);
-    const double weight =
-        static_cast<double>(out.samples) *
+    delivery.weight =
+        static_cast<double>(out.update.samples) *
         scheduler_->staleness_scale(flight.dispatch_round, completed);
     if (tree_) {
-      tree_->node(0, e).fold(update, weight);
+      tree_->node(0, e).fold(update, delivery.weight);
     } else {
-      server_.accumulate(update, weight);
-      record.aggregate_weight += weight;
+      server_.accumulate(update, delivery.weight);
+      record.aggregate_weight += delivery.weight;
     }
     update = StateDict();  // folded; free it before anything else arrives
     --live[node_id];
-
-    trace.weight = weight;
-    trace.decision = net::evaluate_compression(
-        out.stats.original_bytes, out.payload.size(),
-        out.stats.compress_seconds, decode_stats.decompress_seconds,
-        network_.link(i));
-    record.train_seconds += out.train_seconds;
-    record.compress_seconds += out.stats.compress_seconds;
-    record.decompress_seconds += decode_stats.decompress_seconds;
-    record.comm_seconds += flight.transfer_seconds;
-    record.mean_loss += out.mean_loss;
-    record.bytes_sent += out.payload.size();
-    record.raw_bytes += out.stats.original_bytes;
-    record.downlink_bytes += flight.downlink_bytes;
-    record.downlink_raw_bytes += flight.downlink_raw_bytes;
-    record.downlink_seconds += flight.downlink_seconds;
-    record.downlink_encode_seconds += flight.downlink_encode_seconds;
-    record.downlink_decode_seconds +=
-        flight.downlink_decode_seconds + out.downlink_decode_seconds;
-    record.mean_ef_residual_norm += out.ef_residual_norm;
-    record.ef_decode_seconds += out.ef_decode_seconds;
-    record.participants += 1;
-    record.clients.push_back(std::move(trace));
+    delivery.decode_seconds = decode_stats.decompress_seconds;
+    account_delivery(record, delivery, population_.get(), network_.link(i));
 
     if (!tree_) {
       ++root_folded;
@@ -949,19 +817,10 @@ FlRunResult FlCoordinator::run() {
       return;
     }
     const std::size_t flat = tree_->flat_index(l, n);
-    EdgeTraceEntry trace;
-    trace.edge = flat;
-    trace.tier = l + 1;
-    trace.cohort = partial->clients;
-    trace.weight = partial->weight;
-    trace.payload_bytes = partial->payload.size();
-    trace.raw_bytes = partial->stats.original_bytes;
-    trace.encode_seconds = partial->stats.compress_seconds;
-    trace.transfer_seconds = transfer;
-    trace.arrival_seconds = queue.now();
+    EdgeTraceEntry trace =
+        partial_trace(*partial, flat, l, transfer, queue.now());
     trace.downlink_bytes = node_downlink_bytes[flat];
     trace.downlink_seconds = node_downlink_seconds[flat];
-    trace.ef_residual_norm = partial->ef_residual_norm;
 
     const bool at_root = l + 1 == levels;
     std::size_t parent = 0;
@@ -991,15 +850,7 @@ FlRunResult FlCoordinator::run() {
     --live[decode_node];
 
     trace.decode_seconds = decode_stats.decompress_seconds;
-    record.backhaul_bytes += trace.payload_bytes;
-    record.backhaul_raw_bytes += trace.raw_bytes;
-    record.backhaul_seconds += transfer;
-    record.backhaul_encode_seconds += trace.encode_seconds;
-    record.backhaul_decode_seconds += trace.decode_seconds;
-    record.backhaul_tier_bytes[l] += trace.payload_bytes;
-    record.backhaul_tier_raw_bytes[l] += trace.raw_bytes;
-    ++merged_partials;
-    record.edges.push_back(std::move(trace));
+    account_partial(record, std::move(trace));
     if (at_root) {
       ++root_folded;
       maybe_close_root();
@@ -1017,18 +868,7 @@ FlRunResult FlCoordinator::run() {
     for (std::size_t i = 0; i < clients_.size(); ++i) {
       if (phase[i] != Phase::kPending) continue;
       phase[i] = Phase::kEvicted;
-      const InFlight& flight = flights[i];
-      ClientTraceEntry trace;
-      trace.client = i;
-      trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-      trace.dispatch_round = flight.dispatch_round;
-      trace.dispatch_seconds = flight.dispatch_seconds;
-      trace.arrival_seconds = queue.now();  // when the server gave up
-      trace.downlink_bytes = flight.downlink_bytes;
-      trace.downlink_seconds = flight.downlink_seconds;
-      trace.status = DeliveryStatus::kEvicted;
-      if (population_) trace.device_class = population_->class_name(i);
-      record.clients.push_back(std::move(trace));
+      trace_flight(i, DeliveryStatus::kEvicted);
     }
     if (!tree_) {
       root_goal = root_folded;
@@ -1051,7 +891,6 @@ FlRunResult FlCoordinator::run() {
     record = RoundRecord{};
     record.round = completed;
     root_folded = 0;
-    merged_partials = 0;
     server_.begin_round();
     if (scheduler_->continuous() && !initial) {
       // Clients redispatch themselves on arrival; just reset the buffer.
@@ -1061,27 +900,6 @@ FlRunResult FlCoordinator::run() {
     }
     std::fill(phase.begin(), phase.end(), Phase::kIdle);
     std::fill(dropped.begin(), dropped.end(), 0);
-    std::fill(eligible.begin(), eligible.end(), 1);
-    // Zero-eligible fallback: when every availability draw failed,
-    // deterministically wake the most-available client (tie-break lowest
-    // index) so a campaign can never stall on an unlucky night. Consumes no
-    // randomness, so the stream stays aligned with luckier trajectories.
-    const auto ensure_some_eligible = [&] {
-      if (!population_) return;
-      for (std::size_t i = 0; i < clients_.size(); ++i)
-        if (eligible[i]) return;
-      std::size_t best = 0;
-      double best_p = -1.0;
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        const double p = population_->availability(i, queue.now());
-        if (p > best_p) {
-          best_p = p;
-          best = i;
-        }
-      }
-      eligible[best] = 1;
-    };
-    std::vector<std::size_t> cohort;
     if (tree_) {
       record.backhaul_tier_bytes.assign(levels, 0);
       record.backhaul_tier_raw_bytes.assign(levels, 0);
@@ -1132,43 +950,23 @@ FlRunResult FlCoordinator::run() {
       }
       for (std::size_t e = 0; e < edge_count; ++e)
         for (const std::size_t i : edge_members[e]) owner_round[i] = e;
-      if (population_) {
-        // Availability draws in (edge order, member order) — exactly the
-        // sequence the federation root replays, so both transports consume
-        // the eligibility stream identically.
-        for (std::size_t e = 0; e < edge_count; ++e)
-          for (const std::size_t i : edge_members[e])
-            eligible[i] = eligibility_rng.uniform() <
-                          population_->availability(i, queue.now());
-        ensure_some_eligible();
-      }
-      // Per-cohort sampling: the scheduler draws within each edge's member
-      // set (cohort-relative indices) in edge order — the same stream and
-      // order as the single-tier runtime when nothing crashed. With a
-      // population active the member set shrinks to the eligible clients
-      // BEFORE the draw (the scheduler never sees offline devices).
-      root_goal = 0;
-      for (std::size_t e = 0; e < edge_count; ++e) {
-        edge_cohort[e].clear();
-        if (edge_members[e].empty()) continue;
-        std::vector<std::size_t> pool;
-        if (population_) {
-          for (const std::size_t i : edge_members[e])
-            if (eligible[i]) pool.push_back(i);
-        } else {
-          pool = edge_members[e];
-        }
-        if (pool.empty()) continue;
-        const std::vector<std::size_t> draw =
-            scheduler_->cohort(completed, pool.size(), cohort_rng);
-        if (draw.empty()) continue;
-        NodeRound& s = nodes[0][e];
+    }
+    edge_cohort = draw_round_open(edge_members, clients_.size(),
+                                  population_.get(), *scheduler_, streams,
+                                  queue.now(), tree_ ? 1 : 0, record);
+    std::vector<std::size_t> cohort;
+    for (const std::vector<std::size_t>& drawn : edge_cohort)
+      cohort.insert(cohort.end(), drawn.begin(), drawn.end());
+    if (tree_) {
+      const auto open_node = [&](std::size_t l, std::size_t n,
+                                 std::size_t expected) {
+        NodeRound& s = nodes[l][n];
         s.participating = s.open = true;
-        s.expected = draw.size();
-        tree_->node(0, e).begin_round(server_.global_state());
-        for (const std::size_t idx : draw)
-          edge_cohort[e].push_back(pool[idx]);
-      }
+        s.expected = expected;
+        tree_->node(l, n).begin_round(server_.global_state());
+      };
+      for (std::size_t e = 0; e < edge_count; ++e)
+        if (!edge_cohort[e].empty()) open_node(0, e, edge_cohort[e].size());
       // Upper tiers participate when anything below them does; their
       // expectation is the participating child count.
       for (std::size_t l = 1; l < levels; ++l) {
@@ -1176,60 +974,15 @@ FlRunResult FlCoordinator::run() {
         for (std::size_t c = 0; c < nodes[l - 1].size(); ++c)
           if (nodes[l - 1][c].participating)
             children_part[l][tree_->parent_of(l - 1, c)].push_back(c);
-        for (std::size_t n = 0; n < nodes[l].size(); ++n) {
-          if (children_part[l][n].empty()) continue;
-          NodeRound& s = nodes[l][n];
-          s.participating = s.open = true;
-          s.expected = children_part[l][n].size();
-          tree_->node(l, n).begin_round(server_.global_state());
-        }
+        for (std::size_t n = 0; n < nodes[l].size(); ++n)
+          if (!children_part[l][n].empty())
+            open_node(l, n, children_part[l][n].size());
       }
+      root_goal = 0;
       for (std::size_t n = 0; n < nodes[levels - 1].size(); ++n)
         if (nodes[levels - 1][n].participating) ++root_goal;
-      for (std::size_t e = 0; e < edge_count; ++e)
-        cohort.insert(cohort.end(), edge_cohort[e].begin(),
-                      edge_cohort[e].end());
     } else {
-      if (population_) {
-        for (std::size_t i = 0; i < clients_.size(); ++i)
-          eligible[i] = eligibility_rng.uniform() <
-                        population_->availability(i, queue.now());
-        ensure_some_eligible();
-        std::vector<std::size_t> pool;
-        for (std::size_t i = 0; i < clients_.size(); ++i)
-          if (eligible[i]) pool.push_back(i);
-        const std::vector<std::size_t> draw =
-            scheduler_->cohort(completed, pool.size(), cohort_rng);
-        cohort.reserve(draw.size());
-        for (const std::size_t idx : draw) cohort.push_back(pool[idx]);
-      } else {
-        cohort = scheduler_->cohort(completed, clients_.size(), cohort_rng);
-      }
       root_goal = scheduler_->aggregation_goal(cohort.size());
-    }
-    if (population_) {
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        if (eligible[i]) {
-          ++record.eligible_clients;
-          continue;
-        }
-        ++record.ineligible_clients;
-        // Offline devices stay visible in the per-round export: one
-        // weight-0 entry each, appended in client order at round open (the
-        // same order the federation root emits them).
-        ClientTraceEntry trace;
-        trace.client = i;
-        trace.node = tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
-        trace.dispatch_round = completed;
-        trace.dispatch_seconds = queue.now();
-        trace.arrival_seconds = queue.now();
-        trace.status = DeliveryStatus::kIneligible;
-        trace.device_class = population_->class_name(i);
-        trace.eligible = false;
-        record.clients.push_back(std::move(trace));
-      }
-    } else {
-      record.eligible_clients = clients_.size();
     }
     if (config_.failures.dropout_rate > 0.0)
       for (const std::size_t i : cohort)
@@ -1241,7 +994,8 @@ FlRunResult FlCoordinator::run() {
     // machinery.
     if (population_ && population_->config().dropout_rate > 0.0)
       for (const std::size_t i : cohort)
-        if (eligibility_rng.uniform() < population_->config().dropout_rate)
+        if (streams.eligibility.uniform() <
+            population_->config().dropout_rate)
           dropped[i] = 1;
     if (config_.failures.straggler_deadline_seconds > 0.0)
       queue.schedule_after(config_.failures.straggler_deadline_seconds,
@@ -1293,9 +1047,9 @@ FlRunResult FlCoordinator::run() {
       ByteReader aggregator_in(
           {ck.aggregator_state.data(), ck.aggregator_state.size()});
       server_.aggregator().load_state(aggregator_in);
-      cohort_rng.restore(ck.cohort_rng);
+      streams.cohort.restore(ck.cohort_rng);
       failure_rng.restore(ck.failure_rng);
-      eligibility_rng.restore(ck.eligibility_rng);
+      streams.eligibility.restore(ck.eligibility_rng);
       for (std::size_t i = 0; i < feedback_.size(); ++i)
         feedback_[i].restore_residual(std::move(ck.client_residuals[i]));
       if (downlink_ && downlink_->mode() == DownlinkMode::kDelta)
@@ -1312,18 +1066,12 @@ FlRunResult FlCoordinator::run() {
       }
       completed = static_cast<int>(ck.completed_rounds);
       queue.restore_clock(ck.virtual_now, ck.clock_next_seq);
-      if (completed >= config_.rounds) {
-        // The checkpointed campaign already finished; nothing to replay.
-        result.total_wall_seconds = wall.seconds();
-        result.total_virtual_seconds = queue.now();
-        result.peak_decoded_per_node = std::move(peak);
-        return result;
-      }
     }
     // No checkpoint on disk yet (killed before the first save): run fresh.
   }
 
-  open_round(true);
+  // A checkpointed campaign that already finished has nothing to replay.
+  if (completed < config_.rounds) open_round(true);
   while (!stopped && queue.run_next()) {
   }
   // A buffered ancestor can ship early enough that the run's final close

@@ -1,7 +1,6 @@
 #include "core/fl/federation.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -10,6 +9,7 @@
 
 #include "core/codec_spec.hpp"
 #include "core/fl/checkpoint.hpp"
+#include "core/fl/round_steps.hpp"
 #include "data/synthetic.hpp"
 #include "net/bandwidth.hpp"
 #include "util/bytebuffer.hpp"
@@ -23,57 +23,6 @@ using Clock = std::chrono::steady_clock;
 
 ByteSpan view(const Bytes& bytes) { return {bytes.data(), bytes.size()}; }
 
-// ---- field-group (de)serializers shared by the manifest and PARTIAL ----
-
-void put_profile(ByteWriter& out, const net::NetworkProfile& profile) {
-  out.put_f64(profile.bandwidth_mbps);
-  out.put_f64(profile.latency_s);
-}
-
-net::NetworkProfile get_profile(ByteReader& in) {
-  net::NetworkProfile profile;
-  profile.bandwidth_mbps = in.get_f64();
-  profile.latency_s = in.get_f64();
-  return profile;
-}
-
-void put_heterogeneous(
-    ByteWriter& out,
-    const std::optional<net::HeterogeneousNetworkConfig>& config) {
-  out.put_u8(config ? 1 : 0);
-  if (!config) return;
-  out.put_u8(static_cast<std::uint8_t>(config->distribution));
-  out.put_f64(config->edge_min_mbps);
-  out.put_f64(config->edge_max_mbps);
-  out.put_f64(config->wan_median_mbps);
-  out.put_f64(config->wan_log_sigma);
-  out.put_f64(config->two_tier_fast_fraction);
-  out.put_f64(config->two_tier_fast_mbps);
-  out.put_f64(config->two_tier_slow_mbps);
-  out.put_f64(config->latency_s);
-  out.put_u64(config->seed);
-}
-
-std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
-    ByteReader& in) {
-  const std::uint8_t present = in.get_u8();
-  if (present > 1)
-    throw CorruptStream("manifest: bad heterogeneous-config flag");
-  if (present == 0) return std::nullopt;
-  net::HeterogeneousNetworkConfig config;
-  config.distribution = static_cast<net::LinkDistribution>(in.get_u8());
-  config.edge_min_mbps = in.get_f64();
-  config.edge_max_mbps = in.get_f64();
-  config.wan_median_mbps = in.get_f64();
-  config.wan_log_sigma = in.get_f64();
-  config.two_tier_fast_fraction = in.get_f64();
-  config.two_tier_fast_mbps = in.get_f64();
-  config.two_tier_slow_mbps = in.get_f64();
-  config.latency_s = in.get_f64();
-  config.seed = in.get_u64();
-  return config;
-}
-
 void put_stats(ByteWriter& out, const CompressionStats& stats) {
   out.put_varint(stats.original_bytes);
   out.put_varint(stats.compressed_bytes);
@@ -82,9 +31,14 @@ void put_stats(ByteWriter& out, const CompressionStats& stats) {
   out.put_varint(stats.lossless_original_bytes);
   out.put_varint(stats.lossless_compressed_bytes);
   out.put_varint(stats.raw_original_bytes);
+  out.put_varint(stats.sparse_original_bytes);
+  out.put_varint(stats.sparse_compressed_bytes);
+  out.put_varint(stats.sparse_kept_elements);
+  out.put_varint(stats.sparse_total_elements);
   out.put_varint(stats.lossy_tensors);
   out.put_varint(stats.lossless_tensors);
   out.put_varint(stats.raw_tensors);
+  out.put_varint(stats.sparse_tensors);
   out.put_varint(stats.lossy_chunks);
   out.put_f64(stats.mean_bound_value);
   out.put_f64(stats.compress_seconds);
@@ -100,9 +54,14 @@ CompressionStats get_stats(ByteReader& in) {
   stats.lossless_original_bytes = static_cast<std::size_t>(in.get_varint());
   stats.lossless_compressed_bytes = static_cast<std::size_t>(in.get_varint());
   stats.raw_original_bytes = static_cast<std::size_t>(in.get_varint());
+  stats.sparse_original_bytes = static_cast<std::size_t>(in.get_varint());
+  stats.sparse_compressed_bytes = static_cast<std::size_t>(in.get_varint());
+  stats.sparse_kept_elements = static_cast<std::size_t>(in.get_varint());
+  stats.sparse_total_elements = static_cast<std::size_t>(in.get_varint());
   stats.lossy_tensors = static_cast<std::size_t>(in.get_varint());
   stats.lossless_tensors = static_cast<std::size_t>(in.get_varint());
   stats.raw_tensors = static_cast<std::size_t>(in.get_varint());
+  stats.sparse_tensors = static_cast<std::size_t>(in.get_varint());
   stats.lossy_chunks = static_cast<std::size_t>(in.get_varint());
   stats.mean_bound_value = in.get_f64();
   stats.compress_seconds = in.get_f64();
@@ -115,26 +74,13 @@ CompressionStats get_stats(ByteReader& in) {
 /// One client delivery as shipped inside a PARTIAL frame. `pos` is the
 /// client's dispatch position WITHIN the edge cohort; the root adds the
 /// edge's global offset, which turns (arrival, upload, global pos) into
-/// exactly the in-process event queue's (time, tie-break) order.
+/// exactly the in-process event queue's (time, tie-break) order. Where and
+/// when the delivery was dispatched (node, round, open time) is the root's
+/// own knowledge and never crosses the wire.
 struct WireClientTrace {
-  std::size_t client = 0;
   std::size_t pos = 0;
   double upload_seconds = 0.0;
-  double arrival_seconds = 0.0;
-  double transfer_seconds = 0.0;
-  double weight = 0.0;
-  std::size_t payload_bytes = 0;
-  std::size_t raw_bytes = 0;
-  double bound_value = 0.0;
-  std::size_t lossy_tensors = 0;
-  std::size_t lossless_tensors = 0;
-  std::size_t raw_tensors = 0;
-  double ef_residual_norm = 0.0;
-  double train_seconds = 0.0;
-  double mean_loss = 0.0;
-  double compress_seconds = 0.0;
-  double decompress_seconds = 0.0;  // edge-side update decode (wall)
-  double ef_decode_seconds = 0.0;
+  ClientDelivery delivery;
 };
 
 /// A worker's whole round result: the re-encoded partial plus the ordering
@@ -146,92 +92,80 @@ struct WirePartial {
   double ship_seconds = 0.0;
   double last_upload_seconds = 0.0;
   std::size_t last_pos = 0;
-  Bytes payload;
-  double weight = 0.0;
-  std::size_t clients = 0;
-  double ef_residual_norm = 0.0;
-  CompressionStats stats;
+  EncodedPartial partial;
   std::vector<WireClientTrace> traces;  // in edge fold order
 };
 
-Bytes serialize_partial(const WirePartial& partial) {
+Bytes serialize_partial(const WirePartial& wire) {
   ByteWriter out;
-  out.put_varint(static_cast<std::uint64_t>(partial.round));
-  out.put_f64(partial.ship_seconds);
-  out.put_f64(partial.last_upload_seconds);
-  out.put_varint(partial.last_pos);
-  out.put_blob(view(partial.payload));
-  out.put_f64(partial.weight);
-  out.put_varint(partial.clients);
-  out.put_f64(partial.ef_residual_norm);
-  put_stats(out, partial.stats);
-  out.put_varint(partial.traces.size());
-  for (const WireClientTrace& t : partial.traces) {
-    out.put_varint(t.client);
+  out.put_varint(static_cast<std::uint64_t>(wire.round));
+  out.put_f64(wire.ship_seconds);
+  out.put_f64(wire.last_upload_seconds);
+  out.put_varint(wire.last_pos);
+  out.put_blob(view(wire.partial.payload));
+  out.put_f64(wire.partial.weight);
+  out.put_varint(wire.partial.clients);
+  out.put_f64(wire.partial.ef_residual_norm);
+  put_stats(out, wire.partial.stats);
+  out.put_varint(wire.traces.size());
+  for (const WireClientTrace& t : wire.traces) {
+    const ClientDelivery& d = t.delivery;
     out.put_varint(t.pos);
     out.put_f64(t.upload_seconds);
-    out.put_f64(t.arrival_seconds);
-    out.put_f64(t.transfer_seconds);
-    out.put_f64(t.weight);
-    out.put_varint(t.payload_bytes);
-    out.put_varint(t.raw_bytes);
-    out.put_f64(t.bound_value);
-    out.put_varint(t.lossy_tensors);
-    out.put_varint(t.lossless_tensors);
-    out.put_varint(t.raw_tensors);
-    out.put_f64(t.ef_residual_norm);
-    out.put_f64(t.train_seconds);
-    out.put_f64(t.mean_loss);
-    out.put_f64(t.compress_seconds);
-    out.put_f64(t.decompress_seconds);
-    out.put_f64(t.ef_decode_seconds);
+    out.put_varint(d.client);
+    out.put_f64(d.arrival_seconds);
+    out.put_f64(d.transfer_seconds);
+    out.put_f64(d.weight);
+    out.put_varint(d.payload_bytes);
+    put_stats(out, d.stats);
+    out.put_f64(d.decode_seconds);
+    out.put_f64(d.train_seconds);
+    out.put_f64(d.mean_loss);
+    out.put_f64(d.ef_residual_norm);
+    out.put_f64(d.ef_decode_seconds);
   }
   return out.finish();
 }
 
-WirePartial parse_partial(ByteSpan bytes) {
+WirePartial parse_partial(ByteSpan bytes, std::size_t clients) {
   try {
     ByteReader in(bytes);
-    WirePartial partial;
-    partial.round = static_cast<int>(in.get_varint());
-    partial.ship_seconds = in.get_f64();
-    partial.last_upload_seconds = in.get_f64();
-    partial.last_pos = static_cast<std::size_t>(in.get_varint());
+    WirePartial wire;
+    wire.round = static_cast<int>(in.get_varint());
+    wire.ship_seconds = in.get_f64();
+    wire.last_upload_seconds = in.get_f64();
+    wire.last_pos = static_cast<std::size_t>(in.get_varint());
     const ByteSpan payload = in.get_blob_view();
-    partial.payload.assign(payload.begin(), payload.end());
-    partial.weight = in.get_f64();
-    partial.clients = static_cast<std::size_t>(in.get_varint());
-    partial.ef_residual_norm = in.get_f64();
-    partial.stats = get_stats(in);
+    wire.partial.payload.assign(payload.begin(), payload.end());
+    wire.partial.weight = in.get_f64();
+    wire.partial.clients = static_cast<std::size_t>(in.get_varint());
+    wire.partial.ef_residual_norm = in.get_f64();
+    wire.partial.stats = get_stats(in);
     const std::uint64_t count = in.get_varint();
     if (count > in.remaining())
       throw CorruptStream("federation: trace count exceeds the payload");
-    partial.traces.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      WireClientTrace t;
-      t.client = static_cast<std::size_t>(in.get_varint());
+    wire.traces.resize(static_cast<std::size_t>(count));
+    for (WireClientTrace& t : wire.traces) {
+      ClientDelivery& d = t.delivery;
       t.pos = static_cast<std::size_t>(in.get_varint());
       t.upload_seconds = in.get_f64();
-      t.arrival_seconds = in.get_f64();
-      t.transfer_seconds = in.get_f64();
-      t.weight = in.get_f64();
-      t.payload_bytes = static_cast<std::size_t>(in.get_varint());
-      t.raw_bytes = static_cast<std::size_t>(in.get_varint());
-      t.bound_value = in.get_f64();
-      t.lossy_tensors = static_cast<std::size_t>(in.get_varint());
-      t.lossless_tensors = static_cast<std::size_t>(in.get_varint());
-      t.raw_tensors = static_cast<std::size_t>(in.get_varint());
-      t.ef_residual_norm = in.get_f64();
-      t.train_seconds = in.get_f64();
-      t.mean_loss = in.get_f64();
-      t.compress_seconds = in.get_f64();
-      t.decompress_seconds = in.get_f64();
-      t.ef_decode_seconds = in.get_f64();
-      partial.traces.push_back(t);
+      d.client = static_cast<std::size_t>(in.get_varint());
+      if (d.client >= clients)
+        throw CorruptStream("federation: PARTIAL client id out of range");
+      d.arrival_seconds = in.get_f64();
+      d.transfer_seconds = in.get_f64();
+      d.weight = in.get_f64();
+      d.payload_bytes = static_cast<std::size_t>(in.get_varint());
+      d.stats = get_stats(in);
+      d.decode_seconds = in.get_f64();
+      d.train_seconds = in.get_f64();
+      d.mean_loss = in.get_f64();
+      d.ef_residual_norm = in.get_f64();
+      d.ef_decode_seconds = in.get_f64();
     }
     if (!in.done())
       throw CorruptStream("federation: trailing bytes after PARTIAL");
-    return partial;
+    return wire;
   } catch (const CorruptStream&) {
     throw;
   } catch (const std::exception& error) {
@@ -371,15 +305,14 @@ namespace {
 
 /// The worker's rebuilt slice of the run: the same deterministic
 /// derivations the in-process coordinator constructor performs (dataset,
-/// IID shards, per-client compute budgets, per-client links, codecs),
-/// minus everything server-side. Clients materialize lazily — with crash
+/// shards, per-client compute budgets, per-client links, codecs), minus
+/// everything server-side. Clients materialize lazily — with crash
 /// re-homing a worker can be asked to train ANY client, but usually only
 /// its own shard.
 struct EdgeRuntime {
   RunManifest manifest;
   FlRunConfig config;
   UpdateCodecPtr codec;
-  bool ef_on = false;
   std::unique_ptr<AggregationTree> tree;
   std::unique_ptr<ClientPopulation> population;  // before network: links
   net::HeterogeneousNetwork network;
@@ -393,31 +326,16 @@ struct EdgeRuntime {
       : manifest(std::move(m)),
         config(config_from(manifest)),
         codec(make_codec(parse_codec_spec(manifest.codec_spec))),
-        ef_on(config.error_feedback && !codec->lossless()),
         tree(std::make_unique<AggregationTree>(config.topology,
                                                config.clients)),
-        population(config.population.empty()
-                       ? nullptr
-                       : std::make_unique<ClientPopulation>(
-                             config.population, config.clients, config.seed)),
+        population(make_population(config)),
         network(build_population_network(config, population.get())),
         train(build_train(manifest.dataset)) {
     if (manifest.edge >= tree->edge_count())
       throw CorruptStream("manifest: edge index out of range");
     shards = build_client_shards(*train, config, population.get());
-    Rng speed_rng(config.seed ^ 0xC0DEC10Cull);
-    compute_seconds.reserve(config.clients);
-    for (std::size_t i = 0; i < config.clients; ++i) {
-      const double factor = speed_rng.uniform(1.0 - config.compute_jitter,
-                                              1.0 + config.compute_jitter);
-      const double class_multiplier =
-          population ? population->compute_multiplier(i) : 1.0;
-      compute_seconds.push_back(
-          config.compute_seconds_per_sample *
-          static_cast<double>(shards[i].size()) *
-          static_cast<double>(config.client.local_epochs) * factor *
-          class_multiplier);
-    }
+    compute_seconds =
+        client_compute_budgets(config, shards, population.get());
     clients.resize(config.clients);
     feedback.resize(config.clients);
   }
@@ -448,14 +366,8 @@ struct EdgeRuntime {
   }
 
   FlClient& client(std::size_t i) {
-    if (!clients[i]) {
-      ClientConfig client_config = config.client;
-      client_config.seed = config.seed ^ (0xC11E47ull * (i + 1));
-      clients[i] = std::make_unique<FlClient>(
-          static_cast<int>(i), manifest.model,
-          std::make_shared<data::SubsetDataset>(train, shards[i]),
-          client_config);
-    }
+    if (!clients[i])
+      clients[i] = make_client(i, manifest.model, train, shards[i], config);
     return *clients[i];
   }
 };
@@ -467,111 +379,103 @@ struct EdgeRuntime {
 /// arrivals — (arrival time, upload time, dispatch position).
 WirePartial process_round(EdgeRuntime& rt, const RoundOpenMsg& open,
                           const StateDict& global) {
-  struct Produced {
-    std::size_t client = 0;
-    std::size_t pos = 0;
-    Bytes payload;
-    std::size_t samples = 0;
-    CompressionStats stats;
-    double train_seconds = 0.0;
-    double mean_loss = 0.0;
-    double ef_residual_norm = 0.0;
-    double ef_decode_seconds = 0.0;
-    double upload = 0.0;
-    double transfer = 0.0;
-    double arrival = 0.0;
-  };
-  std::vector<Produced> produced;
-  produced.reserve(open.cohort.size());
+  WirePartial wire;
+  wire.round = open.round;
+  std::vector<Bytes> payloads;  // by dispatch position
   for (std::size_t pos = 0; pos < open.cohort.size(); ++pos) {
     const std::size_t i = open.cohort[pos];
-    Produced p;
-    p.client = i;
-    p.pos = pos;
-    ClientRoundResult round_result = rt.client(i).run_round(global);
-    EncodeContext ctx;
-    ctx.round = open.round;
-    ctx.client_id = static_cast<int>(i);
-    ctx.steps = round_result.steps;
-    StateDict update = std::move(round_result.update);
-    if (rt.ef_on) update = rt.feedback[i].apply(update);
-    UpdateCodec::Encoded encoded = rt.codec->encode(update, ctx);
-    if (rt.ef_on) {
-      CompressionStats ef_stats;
-      const StateDict reconstruction = rt.codec->decode(
-          {encoded.payload.data(), encoded.payload.size()}, &ef_stats);
-      rt.feedback[i].absorb(update, reconstruction);
-      p.ef_residual_norm = rt.feedback[i].residual_norm();
-      p.ef_decode_seconds = ef_stats.decompress_seconds;
-    }
-    p.samples = round_result.samples;
-    p.stats = encoded.stats;
-    p.train_seconds = round_result.train_seconds;
-    p.mean_loss = round_result.mean_loss;
-    p.payload = std::move(encoded.payload);
-    p.upload = open.t_open + rt.compute_seconds[i];
-    p.transfer = rt.network.link(i).transfer_seconds(p.payload.size());
-    p.arrival = p.upload + p.transfer;
-    produced.push_back(std::move(p));
+    ProducedUpdate update =
+        produce_update(rt.client(i), global, open.round, *rt.codec,
+                       rt.config.error_feedback ? &rt.feedback[i] : nullptr);
+    WireClientTrace& t = wire.traces.emplace_back();
+    t.pos = pos;
+    t.upload_seconds = open.t_open + rt.compute_seconds[i];
+    ClientDelivery& d = t.delivery = delivery_of(i, update);
+    d.transfer_seconds =
+        rt.network.link(i).transfer_seconds(update.payload.size());
+    d.arrival_seconds = t.upload_seconds + d.transfer_seconds;
+    // Barrier schedulers fold in-round, so the staleness scale is 1 and
+    // the aggregation weight is the bare sample count.
+    d.weight = static_cast<double>(update.samples);
+    payloads.push_back(std::move(update.payload));
   }
-
-  std::vector<std::size_t> order(produced.size());
-  for (std::size_t k = 0; k < order.size(); ++k) order[k] = k;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const Produced& x = produced[a];
-    const Produced& y = produced[b];
-    if (x.arrival != y.arrival) return x.arrival < y.arrival;
-    if (x.upload != y.upload) return x.upload < y.upload;
-    return x.pos < y.pos;
-  });
+  std::sort(wire.traces.begin(), wire.traces.end(),
+            [](const WireClientTrace& x, const WireClientTrace& y) {
+              const double xa = x.delivery.arrival_seconds;
+              const double ya = y.delivery.arrival_seconds;
+              if (xa != ya) return xa < ya;
+              if (x.upload_seconds != y.upload_seconds)
+                return x.upload_seconds < y.upload_seconds;
+              return x.pos < y.pos;
+            });
 
   EdgeAggregator& edge = rt.tree->node(0, rt.manifest.edge);
   edge.begin_round(global);
-  WirePartial wire;
-  wire.round = open.round;
-  wire.traces.reserve(produced.size());
-  for (const std::size_t k : order) {
-    Produced& p = produced[k];
+  for (WireClientTrace& t : wire.traces) {
     CompressionStats decode_stats;
-    StateDict update =
-        rt.codec->decode(view(p.payload), &decode_stats);
-    // Barrier schedulers fold in-round, so the staleness scale is 1 and
-    // the aggregation weight is the bare sample count.
-    const double weight = static_cast<double>(p.samples);
-    edge.fold(update, weight);
-    WireClientTrace t;
-    t.client = p.client;
-    t.pos = p.pos;
-    t.upload_seconds = p.upload;
-    t.arrival_seconds = p.arrival;
-    t.transfer_seconds = p.transfer;
-    t.weight = weight;
-    t.payload_bytes = p.payload.size();
-    t.raw_bytes = p.stats.original_bytes;
-    t.bound_value = p.stats.mean_bound_value;
-    t.lossy_tensors = p.stats.lossy_tensors;
-    t.lossless_tensors = p.stats.lossless_tensors;
-    t.raw_tensors = p.stats.raw_tensors;
-    t.ef_residual_norm = p.ef_residual_norm;
-    t.train_seconds = p.train_seconds;
-    t.mean_loss = p.mean_loss;
-    t.compress_seconds = p.stats.compress_seconds;
-    t.decompress_seconds = decode_stats.decompress_seconds;
-    t.ef_decode_seconds = p.ef_decode_seconds;
-    wire.traces.push_back(t);
+    const StateDict update =
+        rt.codec->decode(view(payloads[t.pos]), &decode_stats);
+    t.delivery.decode_seconds = decode_stats.decompress_seconds;
+    edge.fold(update, t.delivery.weight);
   }
-
-  EncodedPartial partial = edge.finalize_and_encode(open.round);
-  const Produced& last = produced[order.back()];
-  wire.ship_seconds = last.arrival;
-  wire.last_upload_seconds = last.upload;
+  const WireClientTrace& last = wire.traces.back();
+  wire.ship_seconds = last.delivery.arrival_seconds;
+  wire.last_upload_seconds = last.upload_seconds;
   wire.last_pos = last.pos;
-  wire.payload = std::move(partial.payload);
-  wire.weight = partial.weight;
-  wire.clients = partial.clients;
-  wire.ef_residual_norm = partial.ef_residual_norm;
-  wire.stats = partial.stats;
+  wire.partial = edge.finalize_and_encode(open.round);
   return wire;
+}
+
+/// The worker's round loop, with its liveness beacon running for exactly
+/// as long as the loop does. Returns on BYE, or on EOF without one (the
+/// root vanished: it already has — or never will collect — everything
+/// produced here).
+void serve_rounds(net::FrameChannel& chan, EdgeRuntime& rt) {
+  // The beacon runs on the WALL clock (the root's crash detector is about
+  // real processes, not the simulation). FrameChannel::send serializes it
+  // with the loop's PARTIAL sends.
+  const auto interval = std::chrono::duration<double>(
+      std::max(0.01, rt.manifest.heartbeat_interval_seconds));
+  std::jthread heartbeat([&](std::stop_token stop) {
+    std::mutex mutex;
+    std::condition_variable_any wake;
+    std::unique_lock<std::mutex> lock(mutex);
+    while (!wake.wait_for(lock, stop, interval,
+                          [&] { return stop.stop_requested(); })) {
+      try {
+        chan.send(net::FrameType::kHeartbeat, ByteSpan{});
+      } catch (const std::exception&) {
+        break;
+      }
+    }
+  });
+
+  std::optional<RoundOpenMsg> pending;
+  while (std::optional<net::Frame> frame = chan.recv()) {
+    switch (frame->type) {
+      case net::FrameType::kRoundOpen:
+        pending = parse_round_open(view(frame->payload), rt.config.clients);
+        break;
+      case net::FrameType::kBroadcast: {
+        ByteReader in(view(frame->payload));
+        const int round = static_cast<int>(in.get_varint());
+        const StateDict global = StateDict::deserialize(in.get_blob_view());
+        if (!pending || pending->round != round)
+          throw CorruptStream(
+              "federation: BROADCAST without a matching ROUND_OPEN");
+        const Bytes out =
+            serialize_partial(process_round(rt, *pending, global));
+        chan.send(net::FrameType::kPartial, view(out));
+        pending.reset();
+        break;
+      }
+      case net::FrameType::kBye:
+        return;
+      default:
+        throw CorruptStream("federation: unexpected " +
+                            net::frame_type_name(frame->type) + " frame");
+    }
+  }
 }
 
 }  // namespace
@@ -590,74 +494,12 @@ void run_edge_worker(net::StreamPtr stream) {
   ack.put_varint(rt.manifest.edge);
   const Bytes ack_bytes = ack.finish();
   chan.send(net::FrameType::kAck, view(ack_bytes));
-
-  // Liveness beacon on the WALL clock (the root's crash detector is about
-  // real processes, not the simulation). FrameChannel::send serializes
-  // with the round loop's PARTIAL sends.
-  std::mutex beat_mutex;
-  std::condition_variable beat_cv;
-  bool beat_stop = false;
-  const auto interval = std::chrono::duration<double>(
-      std::max(0.01, rt.manifest.heartbeat_interval_seconds));
-  std::thread heartbeat([&] {
-    std::unique_lock<std::mutex> lock(beat_mutex);
-    while (!beat_cv.wait_for(lock, interval, [&] { return beat_stop; })) {
-      lock.unlock();
-      try {
-        chan.send(net::FrameType::kHeartbeat, ByteSpan{});
-      } catch (const std::exception&) {
-        lock.lock();
-        break;
-      }
-      lock.lock();
-    }
-  });
-  auto stop_heartbeat = [&] {
-    {
-      std::lock_guard<std::mutex> lock(beat_mutex);
-      beat_stop = true;
-    }
-    beat_cv.notify_all();
-    if (heartbeat.joinable()) heartbeat.join();
-  };
-
   try {
-    std::optional<RoundOpenMsg> pending;
-    while (std::optional<net::Frame> frame = chan.recv()) {
-      switch (frame->type) {
-        case net::FrameType::kRoundOpen:
-          pending = parse_round_open(view(frame->payload), rt.config.clients);
-          break;
-        case net::FrameType::kBroadcast: {
-          ByteReader in(view(frame->payload));
-          const int round = static_cast<int>(in.get_varint());
-          const StateDict global = StateDict::deserialize(in.get_blob_view());
-          if (!pending || pending->round != round)
-            throw CorruptStream(
-                "federation: BROADCAST without a matching ROUND_OPEN");
-          const Bytes out = serialize_partial(
-              process_round(rt, *pending, global));
-          chan.send(net::FrameType::kPartial, view(out));
-          pending.reset();
-          break;
-        }
-        case net::FrameType::kBye:
-          stop_heartbeat();
-          chan.close();
-          return;
-        default:
-          throw CorruptStream("federation: unexpected " +
-                              net::frame_type_name(frame->type) + " frame");
-      }
-    }
+    serve_rounds(chan, rt);
   } catch (...) {
-    stop_heartbeat();
     chan.close();
     throw;
   }
-  // EOF without BYE: the root vanished; exit quietly (it already has — or
-  // never will collect — everything this worker produced).
-  stop_heartbeat();
   chan.close();
 }
 
@@ -687,34 +529,8 @@ struct FederatedRoot::Impl {
         scheduler(sched ? std::move(sched) : make_sync_scheduler()),
         options(opts),
         server(model),
-        population(config.population.empty()
-                       ? nullptr
-                       : std::make_unique<ClientPopulation>(
-                             config.population, config.clients, config.seed)),
+        population(make_population(config)),
         network(build_population_network(config, population.get())) {}
-
-  RunManifest make_manifest(std::uint32_t edge) const {
-    RunManifest m;
-    m.codec_spec = spec_string;
-    m.dataset = train_spec;
-    m.model = model_config;
-    m.clients = config.clients;
-    m.rounds = config.rounds;
-    m.seed = config.seed;
-    m.client = config.client;
-    m.network = config.network;
-    m.heterogeneous = config.heterogeneous;
-    m.compute_seconds_per_sample = config.compute_seconds_per_sample;
-    m.compute_jitter = config.compute_jitter;
-    m.backhaul_network = config.topology.backhaul_network;
-    m.backhaul_heterogeneous = config.topology.backhaul_heterogeneous;
-    m.shard_seed = config.topology.shard_seed;
-    m.edge = edge;
-    m.edges = static_cast<std::uint32_t>(tree->edge_count());
-    m.heartbeat_interval_seconds = options.heartbeat_interval_seconds;
-    m.fingerprint = fingerprint;
-    return m;
-  }
 };
 
 FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
@@ -756,9 +572,8 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
     throw InvalidArgument(
         "FederatedRoot: checkpoint/resume is in-process only for now -- "
         "drop checkpoint= from the spec when using transport=tcp");
-  if (impl.config.topology.sharding == ShardStrategy::kShuffled &&
-      impl.config.topology.shard_seed == 0)
-    impl.config.topology.shard_seed = impl.config.seed ^ 0x5A4DD00Dull;
+  impl.config.topology =
+      with_shard_seed(impl.config.topology, impl.config.seed);
   impl.tree = std::make_unique<AggregationTree>(impl.config.topology,
                                                 impl.config.clients);
   edge_count_ = impl.tree->edge_count();
@@ -783,7 +598,28 @@ std::uint16_t FederatedRoot::port() const {
 RunManifest FederatedRoot::manifest(std::uint32_t edge) const {
   if (edge >= edge_count_)
     throw InvalidArgument("FederatedRoot: edge index out of range");
-  return impl_->make_manifest(edge);
+  const Impl& impl = *impl_;
+  const FlRunConfig& config = impl.config;
+  RunManifest m;
+  m.codec_spec = impl.spec_string;
+  m.dataset = impl.train_spec;
+  m.model = impl.model_config;
+  m.clients = config.clients;
+  m.rounds = config.rounds;
+  m.seed = config.seed;
+  m.client = config.client;
+  m.network = config.network;
+  m.heterogeneous = config.heterogeneous;
+  m.compute_seconds_per_sample = config.compute_seconds_per_sample;
+  m.compute_jitter = config.compute_jitter;
+  m.backhaul_network = config.topology.backhaul_network;
+  m.backhaul_heterogeneous = config.topology.backhaul_heterogeneous;
+  m.shard_seed = config.topology.shard_seed;
+  m.edge = edge;
+  m.edges = static_cast<std::uint32_t>(edge_count_);
+  m.heartbeat_interval_seconds = impl.options.heartbeat_interval_seconds;
+  m.fingerprint = impl.fingerprint;
+  return m;
 }
 
 FlRunResult FederatedRoot::run() {
@@ -805,7 +641,6 @@ namespace {
 struct Conn {
   std::unique_ptr<net::FrameChannel> chan;
   std::thread reader;
-  bool alive = true;
   Clock::time_point last_seen{};
 };
 
@@ -862,7 +697,7 @@ FlRunResult FederatedRoot::run_with_streams(
       conns[e].chan = std::make_unique<net::FrameChannel>(streams[e]);
       conns[e].last_seen = start;
       const Bytes hello = serialize_manifest(
-          impl.make_manifest(static_cast<std::uint32_t>(e)));
+          manifest(static_cast<std::uint32_t>(e)));
       conns[e].chan->send(net::FrameType::kHello, view(hello));
       conns[e].reader = std::thread([&, e] {
         try {
@@ -884,18 +719,27 @@ FlRunResult FederatedRoot::run_with_streams(
 
     // Handshake: every worker must echo the fingerprint and its edge
     // before the first round — a worker built from different code (or fed
-    // a different manifest) fails here, not 40 rounds in.
+    // a different manifest) fails here, not 40 rounds in. A worker that
+    // dies before its own ACK never confirmed its build, which is fatal.
+    // One that dies after it is a crash like any later one: its EOF goes
+    // back to the inbox for the round loop's crash path, so the outcome
+    // does not depend on how fast the other workers ACK.
     std::vector<char> acked(edges, 0);
+    std::vector<InboxEvent> deaths;
     std::size_t acks = 0;
     while (acks < edges) {
       std::optional<InboxEvent> event =
           wait_event(std::chrono::milliseconds(500));
       if (!event) continue;
-      if (!event->frame)
-        throw net::TransportError(
-            "federation: worker " + std::to_string(event->edge) +
-            " died during handshake" +
-            (event->error.empty() ? "" : ": " + event->error));
+      if (!event->frame) {
+        if (!acked[event->edge])
+          throw net::TransportError(
+              "federation: worker " + std::to_string(event->edge) +
+              " died during handshake" +
+              (event->error.empty() ? "" : ": " + event->error));
+        deaths.push_back(std::move(*event));
+        continue;
+      }
       if (event->frame->type != net::FrameType::kAck)
         throw CorruptStream("federation: expected ACK, got " +
                             net::frame_type_name(event->frame->type));
@@ -912,13 +756,17 @@ FlRunResult FederatedRoot::run_with_streams(
         ++acks;
       }
     }
+    {
+      std::lock_guard<std::mutex> lock(inbox_mutex);
+      inbox.insert(inbox.begin(), std::make_move_iterator(deaths.begin()),
+                   std::make_move_iterator(deaths.end()));
+    }
 
     // ---- the campaign ----
     FlRunResult result;
     result.scheduler = impl.scheduler->name();
-    Rng cohort_rng(impl.config.seed ^ 0x5C4ED11Eull);
-    Rng eligibility_rng(impl.config.seed ^ 0xE11D1B1Eull);
-    std::vector<char> eligible(impl.config.clients, 1);
+    const ClientPopulation* population = impl.population.get();
+    RoundStreams streams(impl.config.seed);
     std::vector<std::vector<std::size_t>> members = impl.tree->base_shards();
     std::vector<std::size_t> peak(1 + edges, 0);
     std::vector<char> dead(edges, 0);
@@ -935,7 +783,7 @@ FlRunResult FederatedRoot::run_with_streams(
       record.backhaul_tier_raw_bytes.assign(1, 0);
 
       // Re-home the members of every edge that died since the last open:
-      // round-robin over the survivors, exactly like the in-process crash
+      // round-robin over the survivors, like the in-process crash
       // machinery minus the seeded shuffle (a real crash is not a seeded
       // draw; determinism across runs ends where real failures begin).
       {
@@ -960,143 +808,57 @@ FlRunResult FederatedRoot::run_with_streams(
 
       impl.server.begin_round();
       const double t_open = virtual_now;
-
-      // Availability draws replay the in-process (edge order, member order)
-      // sequence so both transports consume the eligibility stream
-      // identically; the zero-eligible fallback is the same RNG-free
-      // most-available-client wake.
-      std::fill(eligible.begin(), eligible.end(), 1);
-      if (impl.population) {
-        for (std::size_t e = 0; e < edges; ++e)
-          for (const std::size_t i : members[e])
-            eligible[i] = eligibility_rng.uniform() <
-                          impl.population->availability(i, t_open);
-        bool any = false;
-        for (std::size_t i = 0; i < impl.config.clients; ++i)
-          any = any || eligible[i];
-        if (!any) {
-          std::size_t best = 0;
-          double best_p = -1.0;
-          for (std::size_t i = 0; i < impl.config.clients; ++i) {
-            const double p = impl.population->availability(i, t_open);
-            if (p > best_p) {
-              best_p = p;
-              best = i;
-            }
-          }
-          eligible[best] = 1;
-        }
-      }
-
-      // Cohort draws consume cohort_rng per NON-EMPTY edge in edge order —
-      // the same stream positions as the in-process open_round. With a
-      // population the member set shrinks to the eligible clients BEFORE
-      // the draw, and edges left with no eligible member skip theirs.
-      std::vector<std::vector<std::size_t>> cohort(edges);
+      const std::vector<std::vector<std::size_t>> cohort =
+          draw_round_open(members, impl.config.clients, population,
+                          *impl.scheduler, streams, t_open, 1, record);
       std::vector<std::size_t> offset(edges, 0);
-      for (std::size_t e = 0; e < edges; ++e) {
-        if (dead[e] || members[e].empty()) continue;
-        std::vector<std::size_t> pool;
-        if (impl.population) {
-          for (const std::size_t i : members[e])
-            if (eligible[i]) pool.push_back(i);
-        } else {
-          pool = members[e];
-        }
-        if (pool.empty()) continue;
-        const std::vector<std::size_t> draw =
-            impl.scheduler->cohort(completed, pool.size(), cohort_rng);
-        for (const std::size_t idx : draw) cohort[e].push_back(pool[idx]);
-      }
-      {
-        std::size_t pos = 0;
-        for (std::size_t e = 0; e < edges; ++e) {
-          offset[e] = pos;
-          pos += cohort[e].size();
-        }
-      }
+      for (std::size_t e = 1; e < edges; ++e)
+        offset[e] = offset[e - 1] + cohort[e - 1].size();
 
-      // Offline devices surface first in the round's client list, in
-      // client-index order — the order the in-process open_round appends
-      // them.
-      if (impl.population) {
-        std::vector<std::size_t> owner(impl.config.clients, 0);
-        for (std::size_t e = 0; e < edges; ++e)
-          for (const std::size_t i : members[e]) owner[i] = e;
-        for (std::size_t i = 0; i < impl.config.clients; ++i) {
-          if (eligible[i]) {
-            ++record.eligible_clients;
-            continue;
-          }
-          ++record.ineligible_clients;
-          ClientTraceEntry trace;
-          trace.client = i;
-          trace.node = 1 + impl.tree->flat_index(0, owner[i]);
-          trace.dispatch_round = completed;
-          trace.dispatch_seconds = t_open;
-          trace.arrival_seconds = t_open;
-          trace.status = DeliveryStatus::kIneligible;
-          trace.device_class = impl.population->class_name(i);
-          trace.eligible = false;
-          record.clients.push_back(std::move(trace));
-        }
-      } else {
-        record.eligible_clients = impl.config.clients;
-      }
-
-      const Bytes global_blob = impl.server.global_state().serialize();
+      ByteWriter broadcast_out;
+      broadcast_out.put_varint(static_cast<std::uint64_t>(completed));
+      broadcast_out.put_blob(view(impl.server.global_state().serialize()));
+      const Bytes broadcast = broadcast_out.finish();
       std::vector<char> expected(edges, 0);
       std::size_t outstanding = 0;
       for (std::size_t e = 0; e < edges; ++e) {
         if (cohort[e].empty()) continue;
-        RoundOpenMsg open;
-        open.round = completed;
-        open.t_open = t_open;
-        open.cohort = cohort[e];
-        const Bytes open_bytes = serialize_round_open(open);
-        ByteWriter bw;
-        bw.put_varint(static_cast<std::uint64_t>(completed));
-        bw.put_blob(view(global_blob));
-        const Bytes broadcast = bw.finish();
+        const Bytes open_bytes =
+            serialize_round_open({completed, t_open, cohort[e]});
+        expected[e] = 1;
+        ++outstanding;
         try {
           conns[e].chan->send(net::FrameType::kRoundOpen, view(open_bytes));
           conns[e].chan->send(net::FrameType::kBroadcast, view(broadcast));
-          expected[e] = 1;
-          ++outstanding;
         } catch (const std::exception&) {
           dead[e] = 1;  // crash handling below traces the cohort
-          expected[e] = 1;
-          ++outstanding;
         }
       }
 
-      auto crash = [&](std::size_t e, const std::string& why) {
-        (void)why;
+      auto crash = [&](std::size_t e) {
         dead[e] = 1;
-        conns[e].alive = false;
         if (conns[e].chan) conns[e].chan->close();
         if (!expected[e]) return;
         expected[e] = 0;
         --outstanding;
         // The cohort this worker was running vanishes mid-round: trace it
         // like an in-process dropout sweep (weight 0, nothing totaled).
-        for (std::size_t pos = 0; pos < cohort[e].size(); ++pos) {
-          ClientTraceEntry trace;
-          trace.client = cohort[e][pos];
-          trace.node = 1 + impl.tree->flat_index(0, e);
-          trace.dispatch_round = completed;
-          trace.dispatch_seconds = t_open;
-          trace.arrival_seconds = t_open;
-          trace.status = DeliveryStatus::kDropped;
-          if (impl.population)
-            trace.device_class = impl.population->class_name(trace.client);
-          record.clients.push_back(trace);
-        }
+        for (const std::size_t i : cohort[e])
+          trace_undelivered(record, i, 1 + impl.tree->flat_index(0, e),
+                            DeliveryStatus::kDropped, completed, t_open,
+                            t_open, population);
       };
       for (std::size_t e = 0; e < edges; ++e)
-        if (expected[e] && dead[e]) crash(e, "send failed");
+        if (expected[e] && dead[e]) crash(e);
 
-      std::vector<std::optional<WirePartial>> got(edges);
+      // Received partials with their uplink leg: arrival = ship + transfer.
+      struct Arrived {
+        std::size_t edge = 0;
+        double transfer = 0.0;
+        double arrival = 0.0;
+        WirePartial wire;
+      };
+      std::vector<Arrived> arrived;
       auto round_start = Clock::now();
       while (outstanding > 0) {
         std::optional<InboxEvent> event =
@@ -1112,19 +874,20 @@ FlRunResult FederatedRoot::run_with_streams(
             }
             if (now - std::max(seen, round_start) >
                 std::chrono::duration_cast<Clock::duration>(timeout))
-              crash(e, "heartbeat timeout");
+              crash(e);  // heartbeat timeout
           }
           continue;
         }
         const std::size_t e = event->edge;
         if (!event->frame) {
-          crash(e, event->error.empty() ? "disconnected" : event->error);
+          crash(e);  // disconnected
           continue;
         }
         if (event->frame->type != net::FrameType::kPartial)
           throw CorruptStream("federation: expected PARTIAL, got " +
                               net::frame_type_name(event->frame->type));
-        WirePartial partial = parse_partial(view(event->frame->payload));
+        WirePartial partial =
+            parse_partial(view(event->frame->payload), impl.config.clients);
         if (partial.round != completed)
           throw CorruptStream("federation: PARTIAL for round " +
                               std::to_string(partial.round) +
@@ -1134,42 +897,28 @@ FlRunResult FederatedRoot::run_with_streams(
           throw CorruptStream(
               "federation: unsolicited PARTIAL from edge " +
               std::to_string(e));
-        got[e] = std::move(partial);
+        const double transfer = impl.tree->uplink(0, e).transfer_seconds(
+            partial.partial.payload.size());
+        arrived.push_back(
+            {e, transfer, partial.ship_seconds + transfer, std::move(partial)});
         expected[e] = 0;
         --outstanding;
       }
 
       // ---- merge, replaying the in-process event order ----
-      struct Arrived {
-        std::size_t edge = 0;
-        double arrival = 0.0;
-        WirePartial partial;
-      };
-      std::vector<Arrived> arrived;
-      for (std::size_t e = 0; e < edges; ++e) {
-        if (!got[e]) continue;
-        Arrived a;
-        a.edge = e;
-        a.partial = std::move(*got[e]);
-        a.arrival = a.partial.ship_seconds +
-                    impl.tree->uplink(0, e).transfer_seconds(
-                        a.partial.payload.size());
-        arrived.push_back(std::move(a));
-      }
       // Partial events sort by (arrival, schedule order); ship events were
       // scheduled in last-fold order, which is itself the global
       // (arrival, upload, dispatch-position) order of the final folds.
       std::sort(arrived.begin(), arrived.end(),
                 [&](const Arrived& x, const Arrived& y) {
                   if (x.arrival != y.arrival) return x.arrival < y.arrival;
-                  if (x.partial.ship_seconds != y.partial.ship_seconds)
-                    return x.partial.ship_seconds < y.partial.ship_seconds;
-                  if (x.partial.last_upload_seconds !=
-                      y.partial.last_upload_seconds)
-                    return x.partial.last_upload_seconds <
-                           y.partial.last_upload_seconds;
-                  return offset[x.edge] + x.partial.last_pos <
-                         offset[y.edge] + y.partial.last_pos;
+                  if (x.wire.ship_seconds != y.wire.ship_seconds)
+                    return x.wire.ship_seconds < y.wire.ship_seconds;
+                  if (x.wire.last_upload_seconds != y.wire.last_upload_seconds)
+                    return x.wire.last_upload_seconds <
+                           y.wire.last_upload_seconds;
+                  return offset[x.edge] + x.wire.last_pos <
+                         offset[y.edge] + y.wire.last_pos;
                 });
 
       // Client deliveries across ALL edges, re-sorted into the global
@@ -1182,116 +931,45 @@ FlRunResult FederatedRoot::run_with_streams(
       };
       std::vector<GlobalTrace> folds;
       for (const Arrived& a : arrived)
-        for (const WireClientTrace& t : a.partial.traces)
+        for (const WireClientTrace& t : a.wire.traces)
           folds.push_back({a.edge, offset[a.edge] + t.pos, &t});
       std::sort(folds.begin(), folds.end(),
                 [](const GlobalTrace& x, const GlobalTrace& y) {
-                  if (x.t->arrival_seconds != y.t->arrival_seconds)
-                    return x.t->arrival_seconds < y.t->arrival_seconds;
+                  const double xa = x.t->delivery.arrival_seconds;
+                  const double ya = y.t->delivery.arrival_seconds;
+                  if (xa != ya) return xa < ya;
                   if (x.t->upload_seconds != y.t->upload_seconds)
                     return x.t->upload_seconds < y.t->upload_seconds;
                   return x.global_pos < y.global_pos;
                 });
       for (const GlobalTrace& g : folds) {
-        const WireClientTrace& t = *g.t;
-        ClientTraceEntry trace;
-        trace.client = t.client;
-        if (impl.population)
-          trace.device_class = impl.population->class_name(t.client);
-        trace.node = 1 + impl.tree->flat_index(0, g.edge);
-        trace.dispatch_round = completed;
-        trace.dispatch_seconds = t_open;
-        trace.arrival_seconds = t.arrival_seconds;
-        trace.transfer_seconds = t.transfer_seconds;
-        trace.weight = t.weight;
-        trace.payload_bytes = t.payload_bytes;
-        trace.raw_bytes = t.raw_bytes;
-        trace.bound_value = t.bound_value;
-        trace.lossy_tensors = t.lossy_tensors;
-        trace.lossless_tensors = t.lossless_tensors;
-        trace.raw_tensors = t.raw_tensors;
-        trace.ef_residual_norm = t.ef_residual_norm;
-        trace.decision = net::evaluate_compression(
-            t.raw_bytes, t.payload_bytes, t.compress_seconds,
-            t.decompress_seconds, impl.network.link(t.client));
-        record.train_seconds += t.train_seconds;
-        record.compress_seconds += t.compress_seconds;
-        record.decompress_seconds += t.decompress_seconds;
-        record.comm_seconds += t.transfer_seconds;
-        record.mean_loss += t.mean_loss;
-        record.bytes_sent += t.payload_bytes;
-        record.raw_bytes += t.raw_bytes;
-        record.mean_ef_residual_norm += t.ef_residual_norm;
-        record.ef_decode_seconds += t.ef_decode_seconds;
-        record.participants += 1;
-        record.clients.push_back(std::move(trace));
+        ClientDelivery delivery = g.t->delivery;
+        delivery.node = 1 + impl.tree->flat_index(0, g.edge);
+        delivery.dispatch_round = completed;
+        delivery.dispatch_seconds = t_open;
+        account_delivery(record, delivery, population,
+                         impl.network.link(delivery.client));
       }
 
-      std::size_t merged_partials = 0;
       for (const Arrived& a : arrived) {
-        const WirePartial& p = a.partial;
-        EdgeTraceEntry trace;
-        trace.edge = impl.tree->flat_index(0, a.edge);
-        trace.tier = 1;
-        trace.cohort = p.clients;
-        trace.weight = p.weight;
-        trace.payload_bytes = p.payload.size();
-        trace.raw_bytes = p.stats.original_bytes;
-        trace.encode_seconds = p.stats.compress_seconds;
-        trace.transfer_seconds = a.arrival - p.ship_seconds;
-        trace.arrival_seconds = a.arrival;
-        trace.ef_residual_norm = p.ef_residual_norm;
+        const EncodedPartial& p = a.wire.partial;
+        const std::size_t flat = impl.tree->flat_index(0, a.edge);
+        EdgeTraceEntry trace =
+            partial_trace(p, flat, 0, a.transfer, a.arrival);
         CompressionStats decode_stats;
         StateDict mean =
             impl.tree->decode_partial(0, view(p.payload), &decode_stats);
         impl.server.merge_partial(mean, p.weight);
         record.aggregate_weight += p.weight;
         trace.decode_seconds = decode_stats.decompress_seconds;
-        record.backhaul_bytes += trace.payload_bytes;
-        record.backhaul_raw_bytes += trace.raw_bytes;
-        record.backhaul_seconds += trace.transfer_seconds;
-        record.backhaul_encode_seconds += trace.encode_seconds;
-        record.backhaul_decode_seconds += trace.decode_seconds;
-        record.backhaul_tier_bytes[0] += trace.payload_bytes;
-        record.backhaul_tier_raw_bytes[0] += trace.raw_bytes;
-        ++merged_partials;
-        record.edges.push_back(std::move(trace));
+        account_partial(record, std::move(trace));
         peak[0] = std::max<std::size_t>(peak[0], 1);
         if (p.clients > 0)
-          peak[1 + impl.tree->flat_index(0, a.edge)] = std::max<std::size_t>(
-              peak[1 + impl.tree->flat_index(0, a.edge)], 1);
+          peak[1 + flat] = std::max<std::size_t>(peak[1 + flat], 1);
         virtual_now = std::max(virtual_now, a.arrival);
       }
 
-      // ---- close, exactly like the in-process close_round ----
-      if (record.participants == 0)
-        impl.server.abort_round();
-      else
-        impl.server.finalize_round();
-      if (record.participants > 0) {
-        const double inv = 1.0 / static_cast<double>(record.participants);
-        record.train_seconds *= inv;
-        record.compress_seconds *= inv;
-        record.decompress_seconds *= inv;
-        record.comm_seconds *= inv;
-        record.mean_loss *= inv;
-        record.mean_ef_residual_norm *= inv;
-        record.ef_decode_seconds *= inv;
-      }
-      if (merged_partials > 0) {
-        const double inv = 1.0 / static_cast<double>(merged_partials);
-        record.backhaul_seconds *= inv;
-        record.backhaul_encode_seconds *= inv;
-        record.backhaul_decode_seconds *= inv;
-      }
-      record.virtual_seconds = virtual_now;
-      if (impl.config.evaluate_every_round ||
-          completed + 1 == impl.config.rounds) {
-        Timer eval_timer;
-        record.accuracy = impl.server.evaluate(*impl.test,
-                                               impl.config.eval_limit);
-        record.eval_seconds = eval_timer.seconds();
-      }
+      finish_round(record, impl.server, virtual_now, impl.config, *impl.test);
       result.rounds.push_back(std::move(record));
       ++completed;
     }

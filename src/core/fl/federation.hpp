@@ -1,7 +1,7 @@
 // Cross-process federation: the distributed twin of the in-process
 // hierarchical coordinator. A FederatedRoot owns the server side of a
-// single-tier `topology=hier:<N>` campaign — the global model, the cohort
-// RNG, the aggregation strategy, evaluation — while each tier-1 edge
+// single-tier `topology=hier:<N>` campaign — the global model, the round
+// draws, the aggregation strategy, evaluation — while each tier-1 edge
 // cohort runs inside its own WORKER (a thread over a loopback stream in
 // tests, a separate `fedsz_edge_worker` process over TCP in production)
 // speaking the versioned frame protocol from net/wire.hpp:
@@ -12,25 +12,24 @@
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
 //   worker -> root   PARTIAL    one re-encoded partial mean + per-client
-//                               virtual-time trace, ordering keys included
+//                               deliveries, ordering keys included
 //   worker -> root   HEARTBEAT  liveness beacon (wall-clock cadence)
 //   root -> worker   BYE        campaign over
 //
-// Determinism contract: the virtual clock never crosses the wire as a
-// dependency — workers REPLICATE the event-runtime schedule analytically
-// (upload = t_open + compute_i, arrival = upload + link_i(bytes)) and the
-// root re-sorts everything it merges by the exact (time, tie-break) order
-// the in-process event queue would have used. A TCP run with W workers is
-// therefore BIT-IDENTICAL, round for round, to FlCoordinator::run() on the
-// same config (the federation equality tests pin accuracy, bytes, virtual
-// seconds, and aggregate weight).
+// Determinism: every round decision — seeds, compute budgets, update
+// production, the round-open draw, the RoundRecord accounting, the round
+// close — is the same code the in-process coordinator runs
+// (core/fl/round_steps.hpp). Only event ORDER is replicated: workers fold
+// in the (arrival, upload, dispatch position) order the event queue would
+// have used, and the root re-sorts what it merges the same way. A TCP run
+// is therefore BIT-IDENTICAL, round for round, to FlCoordinator::run().
 //
-// Churn: a worker that disconnects or misses heartbeats past the timeout
-// is declared crashed; its outstanding cohort is traced as dropped and its
-// members re-shard round-robin across the surviving workers for later
-// rounds — the wire analogue of the in-process edge-failure machinery
-// (workers train whatever cohort the root assigns, so re-homing needs no
-// data movement).
+// Churn: a worker that closes before its handshake ACK never confirmed its
+// build, so the run fails with a TransportError. A worker that dies after
+// its ACK (EOF, or silence past the heartbeat timeout) is crashed, whenever
+// that happens: its outstanding cohort is traced kDropped and its members
+// re-home round-robin onto the survivors from the next round (workers
+// train whatever cohort the root assigns, so no data moves).
 #pragma once
 
 #include <cstdint>

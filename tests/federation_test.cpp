@@ -2,8 +2,9 @@
 // to the in-process coordinator on every virtual-clock-deterministic field
 // — pinned here over the loopback transport (workers as threads), over
 // real TCP with fedsz_edge_worker processes (when the build provides
-// FEDSZ_BIN_DIR), and through churn (a worker that dies after the
-// handshake gets its cohort dropped for the round and re-homed after).
+// FEDSZ_BIN_DIR), and through churn (a worker that dies after its
+// handshake ACK gets its cohort dropped for the round and re-homed after;
+// one that dies before its ACK fails the run).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -61,6 +62,7 @@ FlRunResult run_in_process(const char* spec_string = kSpec) {
 
 // Every field the virtual clock determines; wall-clock timings excluded.
 void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
+  SCOPED_TRACE("round " + std::to_string(a.round));
   EXPECT_EQ(a.round, b.round);
   EXPECT_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
@@ -80,14 +82,33 @@ void expect_rounds_identical(const RoundRecord& a, const RoundRecord& b) {
     const ClientTraceEntry& x = a.clients[k];
     const ClientTraceEntry& y = b.clients[k];
     EXPECT_EQ(x.client, y.client) << "trace " << k;
+    EXPECT_EQ(x.node, y.node) << "trace " << k;
     EXPECT_EQ(x.arrival_seconds, y.arrival_seconds) << "trace " << k;
+    EXPECT_EQ(x.transfer_seconds, y.transfer_seconds) << "trace " << k;
     EXPECT_EQ(x.payload_bytes, y.payload_bytes) << "trace " << k;
     EXPECT_EQ(x.weight, y.weight) << "trace " << k;
+    EXPECT_EQ(x.bound_value, y.bound_value) << "trace " << k;
+    EXPECT_EQ(x.lossy_tensors, y.lossy_tensors) << "trace " << k;
+    EXPECT_EQ(x.lossless_tensors, y.lossless_tensors) << "trace " << k;
+    EXPECT_EQ(x.raw_tensors, y.raw_tensors) << "trace " << k;
+    EXPECT_EQ(x.sparse_tensors, y.sparse_tensors) << "trace " << k;
     EXPECT_EQ(x.status, y.status) << "trace " << k;
     EXPECT_EQ(x.device_class, y.device_class) << "trace " << k;
     EXPECT_EQ(x.eligible, y.eligible) << "trace " << k;
   }
-  EXPECT_EQ(a.edges.size(), b.edges.size());
+  ASSERT_EQ(a.edges.size(), b.edges.size());
+  for (std::size_t k = 0; k < a.edges.size(); ++k) {
+    const EdgeTraceEntry& x = a.edges[k];
+    const EdgeTraceEntry& y = b.edges[k];
+    EXPECT_EQ(x.edge, y.edge) << "edge trace " << k;
+    EXPECT_EQ(x.tier, y.tier) << "edge trace " << k;
+    EXPECT_EQ(x.cohort, y.cohort) << "edge trace " << k;
+    EXPECT_EQ(x.weight, y.weight) << "edge trace " << k;
+    EXPECT_EQ(x.payload_bytes, y.payload_bytes) << "edge trace " << k;
+    EXPECT_EQ(x.raw_bytes, y.raw_bytes) << "edge trace " << k;
+    EXPECT_EQ(x.transfer_seconds, y.transfer_seconds) << "edge trace " << k;
+    EXPECT_EQ(x.arrival_seconds, y.arrival_seconds) << "edge trace " << k;
+  }
 }
 
 void expect_results_identical(const FlRunResult& a, const FlRunResult& b) {
@@ -96,6 +117,43 @@ void expect_results_identical(const FlRunResult& a, const FlRunResult& b) {
     expect_rounds_identical(a.rounds[r], b.rounds[r]);
   EXPECT_EQ(a.final_accuracy, b.final_accuracy);
   EXPECT_EQ(a.total_virtual_seconds, b.total_virtual_seconds);
+}
+
+// A real edge worker on its own thread. std::jthread joins on every way out
+// of a test, so a root that throws reports its message instead of tearing
+// the process down; a worker error is reported as a test failure unless
+// the test expects the run to break.
+std::jthread start_worker(net::StreamPtr stream, bool may_fail = false) {
+  return std::jthread([stream = std::move(stream), may_fail]() mutable {
+    try {
+      run_edge_worker(std::move(stream));
+    } catch (const std::exception& error) {
+      if (!may_fail) ADD_FAILURE() << "edge worker: " << error.what();
+    }
+  });
+}
+
+// Runs `spec_string` with every edge worker on a loopback stream, pins the
+// result to the in-process run of the same spec, and hands it back.
+void expect_loopback_matches_in_process(const char* spec_string,
+                                        FlRunResult& distributed) {
+  const FlRunResult reference = run_in_process(spec_string);
+  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+
+  const CodecSpec spec = parse_codec_spec(spec_string);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), base_config(spec), spec);
+  std::vector<net::StreamPtr> root_ends;
+  std::vector<std::jthread> workers;
+  for (std::size_t e = 0; e < root.edge_count(); ++e) {
+    auto [root_end, worker_end] = net::make_loopback_pair();
+    root_ends.push_back(std::move(root_end));
+    workers.push_back(start_worker(std::move(worker_end)));
+  }
+  distributed = root.run_with_streams(std::move(root_ends));
+  expect_results_identical(distributed, reference);
 }
 
 TEST(FederationTest, ManifestRoundtrip) {
@@ -152,27 +210,21 @@ TEST(FederationTest, CtorRejectsUnsupportedConfigs) {
 }
 
 TEST(FederationTest, LoopbackRunMatchesInProcess) {
-  const FlRunResult reference = run_in_process();
-  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+  FlRunResult distributed;
+  expect_loopback_matches_in_process(kSpec, distributed);
+}
 
-  const CodecSpec spec = parse_codec_spec(kSpec);
-  auto [train, test] = data::make_dataset("cifar10", 7);
-  (void)train;
-  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
-                     data::take(test, 256), base_config(spec), spec);
-  std::vector<net::StreamPtr> root_ends;
-  std::vector<std::thread> workers;
-  for (std::size_t e = 0; e < root.edge_count(); ++e) {
-    auto [root_end, worker_end] = net::make_loopback_pair();
-    root_ends.push_back(std::move(root_end));
-    workers.emplace_back(
-        [stream = std::move(worker_end)]() mutable {
-          run_edge_worker(std::move(stream));
-        });
-  }
-  const FlRunResult distributed = root.run_with_streams(std::move(root_ends));
-  for (std::thread& worker : workers) worker.join();
-  expect_results_identical(distributed, reference);
+// Sparse updates cross the wire with their plan census intact: every
+// client trace keeps its sparse tensor count, not just its payload bytes.
+TEST(FederationTest, SparseLoopbackMatchesInProcess) {
+  FlRunResult distributed;
+  expect_loopback_matches_in_process(
+      "sparse:eb=rel:1e-2,sparsity=0.9,topology=hier:2", distributed);
+  std::size_t sparse_tensors = 0;
+  for (const RoundRecord& r : distributed.rounds)
+    for (const ClientTraceEntry& t : r.clients)
+      sparse_tensors += t.sparse_tensors;
+  EXPECT_GT(sparse_tensors, 0u);
 }
 
 // A client population must cross the wire bit-identically: the manifest's
@@ -180,29 +232,10 @@ TEST(FederationTest, LoopbackRunMatchesInProcess) {
 // every worker, and the root replays the in-process availability draws in
 // the same (edge, member) order.
 TEST(FederationTest, PopulationLoopbackMatchesInProcess) {
-  const char* pop_spec =
-      "fedsz:eb=rel:1e-2,topology=hier:2,population=mixed:seed=9";
-  const FlRunResult reference = run_in_process(pop_spec);
-  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
-
-  const CodecSpec spec = parse_codec_spec(pop_spec);
-  auto [train, test] = data::make_dataset("cifar10", 7);
-  (void)train;
-  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
-                     data::take(test, 256), base_config(spec), spec);
-  std::vector<net::StreamPtr> root_ends;
-  std::vector<std::thread> workers;
-  for (std::size_t e = 0; e < root.edge_count(); ++e) {
-    auto [root_end, worker_end] = net::make_loopback_pair();
-    root_ends.push_back(std::move(root_end));
-    workers.emplace_back(
-        [stream = std::move(worker_end)]() mutable {
-          run_edge_worker(std::move(stream));
-        });
-  }
-  const FlRunResult distributed = root.run_with_streams(std::move(root_ends));
-  for (std::thread& worker : workers) worker.join();
-  expect_results_identical(distributed, reference);
+  FlRunResult distributed;
+  expect_loopback_matches_in_process(
+      "fedsz:eb=rel:1e-2,topology=hier:2,population=mixed:seed=9",
+      distributed);
   for (const RoundRecord& r : distributed.rounds)
     EXPECT_EQ(r.eligible_clients + r.ineligible_clients, kClients);
 }
@@ -239,10 +272,8 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
 
   auto [root0, worker0] = net::make_loopback_pair();
   auto [root1, worker1] = net::make_loopback_pair();
-  std::thread survivor([stream = std::move(worker0)]() mutable {
-    run_edge_worker(std::move(stream));
-  });
-  std::thread deserter([stream = std::move(worker1)]() mutable {
+  std::jthread survivor = start_worker(std::move(worker0));
+  std::jthread deserter([stream = std::move(worker1)]() mutable {
     net::FrameChannel chan(std::move(stream));
     const auto hello = chan.recv();
     ASSERT_TRUE(hello.has_value());
@@ -275,6 +306,35 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
   // Round 1: the crash is recorded and everyone trains again.
   ASSERT_EQ(result.rounds[1].crashed_nodes.size(), 1u);
   EXPECT_EQ(result.rounds[1].participants, kClients);
+}
+
+// A worker that closes on HELLO never confirmed its build: the root fails
+// the run with a TransportError instead of treating it as churn.
+TEST(FederationTest, DeathBeforeAckIsFatal) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), base_config(spec), spec);
+  ASSERT_EQ(root.edge_count(), 2u);
+
+  auto [root0, worker0] = net::make_loopback_pair();
+  auto [root1, worker1] = net::make_loopback_pair();
+  // The healthy worker may still be building (or sending its ACK) when
+  // the root gives up, so its own error is expected.
+  std::jthread healthy = start_worker(std::move(worker0), true);
+  std::jthread closer([stream = std::move(worker1)]() mutable {
+    net::FrameChannel chan(std::move(stream));
+    const auto hello = chan.recv();
+    ASSERT_TRUE(hello.has_value());
+    ASSERT_EQ(hello->type, net::FrameType::kHello);
+    chan.close();  // dies on HELLO, before any ACK
+  });
+
+  std::vector<net::StreamPtr> streams;
+  streams.push_back(std::move(root0));
+  streams.push_back(std::move(root1));
+  EXPECT_THROW(root.run_with_streams(std::move(streams)), net::TransportError);
 }
 
 #ifdef FEDSZ_BIN_DIR

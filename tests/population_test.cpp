@@ -7,6 +7,7 @@
 // invariant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "core/codec_spec.hpp"
 #include "core/fl/coordinator.hpp"
 #include "core/fl/population.hpp"
+#include "core/fl/round_steps.hpp"
 #include "core/fl/trace.hpp"
 #include "data/synthetic.hpp"
 
@@ -200,6 +202,180 @@ TEST(ClientPopulationTest, AvailabilityModes) {
 
 TEST(ClientPopulationTest, RejectsEmptyConfig) {
   EXPECT_THROW(ClientPopulation(PopulationConfig{}, 4, 1), InvalidArgument);
+}
+
+// ---- the shared round-open draw ----
+
+// Wraps sampled_sync (which consumes the cohort stream) and records the
+// pool size of every cohort draw it is asked for, in call order.
+class RecordingScheduler final : public Scheduler {
+ public:
+  std::string name() const override { return "recording"; }
+  std::vector<std::size_t> cohort(int round, std::size_t clients,
+                                  Rng& rng) override {
+    pools.push_back(clients);
+    return inner_->cohort(round, clients, rng);
+  }
+  std::size_t aggregation_goal(std::size_t cohort_size) const override {
+    return cohort_size;
+  }
+  bool continuous() const override { return false; }
+
+  std::vector<std::size_t> pools;
+
+ private:
+  SchedulerPtr inner_ = make_sampled_sync_scheduler(0.5);
+};
+
+// The clients a draw left offline, read back from its kIneligible traces.
+std::vector<char> eligible_from(const RoundRecord& record) {
+  std::vector<char> eligible(kClients, 1);
+  for (const ClientTraceEntry& t : record.clients)
+    if (t.status == DeliveryStatus::kIneligible) eligible[t.client] = 0;
+  return eligible;
+}
+
+bool same_state(const Rng& a, const Rng& b) {
+  const Rng::State x = a.state();
+  const Rng::State y = b.state();
+  return std::equal(x.words, x.words + 4, y.words) &&
+         x.has_cached == y.has_cached;
+}
+
+constexpr std::uint64_t kDrawSeed = 42;
+constexpr double kNow = 3600.0;
+
+ClientPopulation draw_population(const std::string& spec) {
+  return ClientPopulation(parse_population_spec(spec), kClients, kDrawSeed);
+}
+
+// One eligibility draw per member, in (edge, member) order — NOT client
+// order — then one cohort draw per edge over its eligible pool.
+TEST(RoundOpenDraw, EligibilityInEdgeMemberOrderThenCohortPerEdge) {
+  const ClientPopulation population =
+      draw_population("mixed:avail=flat:0.5;seed=5");
+  const std::vector<std::vector<std::size_t>> members = {{4, 1, 5},
+                                                         {0, 3, 2}};
+  RecordingScheduler scheduler;
+  RoundStreams streams(kDrawSeed);
+  RoundRecord record;
+  record.round = 2;
+  const auto cohorts = draw_round_open(members, kClients, &population,
+                                       scheduler, streams, kNow, 1, record);
+
+  RoundStreams expected(kDrawSeed);
+  std::vector<char> eligible(kClients, 0);
+  for (const auto& edge : members)
+    for (const std::size_t i : edge)
+      eligible[i] = expected.eligibility.uniform() <
+                    population.availability(i, kNow);
+  ASSERT_NE(std::count(eligible.begin(), eligible.end(), 1), 0)
+      << "the seeded draw should leave somebody eligible";
+  EXPECT_EQ(eligible_from(record), eligible);
+  EXPECT_TRUE(same_state(streams.eligibility, expected.eligibility));
+
+  SchedulerPtr sampled = make_sampled_sync_scheduler(0.5);
+  std::vector<std::size_t> pools;
+  ASSERT_EQ(cohorts.size(), members.size());
+  for (std::size_t e = 0; e < members.size(); ++e) {
+    std::vector<std::size_t> pool;
+    for (const std::size_t i : members[e])
+      if (eligible[i]) pool.push_back(i);
+    std::vector<std::size_t> cohort;
+    if (!pool.empty()) {
+      pools.push_back(pool.size());
+      for (const std::size_t idx :
+           sampled->cohort(record.round, pool.size(), expected.cohort))
+        cohort.push_back(pool[idx]);
+    }
+    EXPECT_EQ(cohorts[e], cohort) << "edge " << e;
+  }
+  EXPECT_EQ(scheduler.pools, pools);
+  EXPECT_TRUE(same_state(streams.cohort, expected.cohort));
+
+  // Offline clients are traced in client order at their edge's node.
+  std::size_t offline = 0;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    if (eligible[i]) continue;
+    ASSERT_LT(offline, record.clients.size());
+    const ClientTraceEntry& t = record.clients[offline++];
+    EXPECT_EQ(t.client, i);
+    EXPECT_EQ(t.node, i == 4 || i == 1 || i == 5 ? 1u : 2u);
+    EXPECT_EQ(t.status, DeliveryStatus::kIneligible);
+    EXPECT_FALSE(t.eligible);
+    EXPECT_EQ(t.dispatch_round, 2);
+    EXPECT_EQ(t.arrival_seconds, kNow);
+  }
+  EXPECT_EQ(record.clients.size(), offline);
+  EXPECT_EQ(record.ineligible_clients, offline);
+  EXPECT_EQ(record.eligible_clients, kClients - offline);
+}
+
+// When every availability draw fails, the most-available client (lowest
+// index on ties) wakes without touching the stream, and an edge left with
+// no eligible member draws no cohort at all.
+TEST(RoundOpenDraw, ZeroEligibleWakeIsFreeAndEmptyEdgesSkipTheirDraw) {
+  const ClientPopulation population =
+      draw_population("uniform:avail=flat:1e-9");
+  // Client 0 — the wake's pick, since every client is equally available —
+  // lives under the SECOND edge.
+  const std::vector<std::vector<std::size_t>> members = {{3, 4, 5},
+                                                         {0, 1, 2}};
+  RecordingScheduler scheduler;
+  RoundStreams streams(kDrawSeed);
+  RoundRecord record;
+  const auto cohorts = draw_round_open(members, kClients, &population,
+                                       scheduler, streams, kNow, 1, record);
+
+  RoundStreams expected(kDrawSeed);
+  for (std::size_t k = 0; k < kClients; ++k)
+    ASSERT_GE(expected.eligibility.uniform(), 1e-9)
+        << "the seeded draw should leave everyone offline";
+  EXPECT_TRUE(same_state(streams.eligibility, expected.eligibility));
+  EXPECT_EQ(eligible_from(record), std::vector<char>({1, 0, 0, 0, 0, 0}));
+
+  EXPECT_EQ(scheduler.pools, std::vector<std::size_t>({1}));
+  EXPECT_TRUE(cohorts[0].empty());
+  EXPECT_EQ(cohorts[1], std::vector<std::size_t>({0}));
+  make_sampled_sync_scheduler(0.5)->cohort(0, 1, expected.cohort);
+  EXPECT_TRUE(same_state(streams.cohort, expected.cohort));
+  EXPECT_EQ(record.eligible_clients, 1u);
+  EXPECT_EQ(record.ineligible_clients, kClients - 1);
+}
+
+// A flat run is one edge holding clients 0..n-1: with no population it is
+// exactly one scheduler draw over the whole client range, every client
+// eligible, nothing traced; with one, offline clients trace at the root.
+TEST(RoundOpenDraw, FlatCallIsOneEdgeOfEveryClient) {
+  std::vector<std::vector<std::size_t>> everyone(1);
+  for (std::size_t i = 0; i < kClients; ++i) everyone[0].push_back(i);
+
+  RecordingScheduler scheduler;
+  RoundStreams streams(kDrawSeed);
+  RoundRecord record;
+  const auto cohorts = draw_round_open(everyone, kClients, nullptr,
+                                       scheduler, streams, kNow, 0, record);
+  RoundStreams expected(kDrawSeed);
+  const std::vector<std::size_t> cohort =
+      make_sampled_sync_scheduler(0.5)->cohort(0, kClients, expected.cohort);
+  ASSERT_EQ(cohorts.size(), 1u);
+  EXPECT_EQ(cohorts[0], cohort);
+  EXPECT_EQ(scheduler.pools, std::vector<std::size_t>({kClients}));
+  EXPECT_TRUE(same_state(streams.cohort, expected.cohort));
+  EXPECT_TRUE(same_state(streams.eligibility, expected.eligibility));
+  EXPECT_EQ(record.eligible_clients, kClients);
+  EXPECT_EQ(record.ineligible_clients, 0u);
+  EXPECT_TRUE(record.clients.empty());
+
+  const ClientPopulation population =
+      draw_population("mixed:avail=flat:0.5;seed=5");
+  RoundStreams pop_streams(kDrawSeed);
+  RoundRecord pop_record;
+  draw_round_open(everyone, kClients, &population, scheduler, pop_streams,
+                  kNow, 0, pop_record);
+  EXPECT_GT(pop_record.ineligible_clients, 0u);
+  EXPECT_EQ(pop_record.clients.size(), pop_record.ineligible_clients);
+  for (const ClientTraceEntry& t : pop_record.clients) EXPECT_EQ(t.node, 0u);
 }
 
 // ---- coordinator eligibility ----
