@@ -231,7 +231,6 @@ void apply_key(CodecSpec& spec, const std::string& key,
       bad_spec("unknown policy '" + name + "' (expected " + policy_options() +
                ")");
     spec.policy = name;
-    spec.policy_explicit = true;
   } else if (key == "chunk") {
     spec.chunk_elements = parse_count(value, "chunk", /*allow_suffix=*/true);
     if (spec.chunk_elements == 0) bad_spec("'chunk' must be >= 1");

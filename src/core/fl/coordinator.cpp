@@ -10,6 +10,7 @@
 #include "core/codec_spec.hpp"
 #include "core/fl/checkpoint.hpp"
 #include "core/fl/round_steps.hpp"
+#include "net/transport.hpp"
 #include "net/virtual_clock.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
@@ -193,6 +194,26 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
                              data::DatasetPtr train, data::DatasetPtr test,
                              FlRunConfig config, UpdateCodecPtr codec,
                              SchedulerPtr scheduler)
+    : FlCoordinator(model_config, std::move(train), std::move(test),
+                    std::move(config), std::move(codec), std::move(scheduler),
+                    nullptr) {
+  if (!codec_) throw InvalidArgument("FlCoordinator: null update codec");
+}
+
+FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
+                             data::DatasetPtr test, FlRunConfig config,
+                             RemoteEdges& edges, SchedulerPtr scheduler)
+    : FlCoordinator(model_config, nullptr, std::move(test), std::move(config),
+                    nullptr, std::move(scheduler), &edges) {
+  if (!tree_)
+    throw InvalidArgument(
+        "FlCoordinator: remote edges need a hierarchical topology");
+}
+
+FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
+                             data::DatasetPtr train, data::DatasetPtr test,
+                             FlRunConfig config, UpdateCodecPtr codec,
+                             SchedulerPtr scheduler, RemoteEdges* remote)
     : model_config_(model_config),
       test_(std::move(test)),
       config_(validated(std::move(config))),
@@ -200,8 +221,8 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
       scheduler_(scheduler ? std::move(scheduler) : make_sync_scheduler()),
       server_(model_config),
       population_(make_population(config_)),
-      network_(build_population_network(config_, population_.get())) {
-  if (!codec_) throw InvalidArgument("FlCoordinator: null update codec");
+      network_(build_population_network(config_, population_.get())),
+      remote_(remote) {
   if (!config_.failures.empty() && scheduler_->continuous())
     // Continuous policies have no round barrier to drop out of or be
     // evicted from; their own staleness handling IS the churn model.
@@ -250,6 +271,11 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
                        make_codec(parse_codec_spec(config_.downlink_spec))},
         config_.clients);
   feedback_.resize(config_.clients);
+  if (remote_) {
+    // Remote edges train their own clients and report each budget.
+    compute_seconds_.assign(config_.clients, 0.0);
+    return;
+  }
   const auto shards = build_client_shards(*train, config_, population_.get());
   for (std::size_t i = 0; i < config_.clients; ++i)
     clients_.push_back(
@@ -264,9 +290,11 @@ FlRunResult FlCoordinator::run() {
   result.scheduler = scheduler_->name();
 
   // What a dispatched client hands back once its real work (broadcast
-  // decode + local SGD + update encoding on the pool) completes.
+  // decode + local SGD + update encoding on the pool, or a remote edge's
+  // report) completes.
   struct WorkerOut {
-    ProducedUpdate update;
+    ClientDelivery delivery;
+    Bytes payload;  // empty when a remote edge decoded the update itself
     double downlink_decode_seconds = 0.0;  // per-client broadcast decode
   };
   // One slot per client; a client has at most one update in flight.
@@ -288,7 +316,7 @@ FlRunResult FlCoordinator::run() {
   };
 
   net::EventQueue queue;
-  std::vector<InFlight> flights(clients_.size());
+  std::vector<InFlight> flights(config_.clients);
   RoundStreams streams(config_.seed);
   // Churn draws ride their own stream: a failure-free run consumes exactly
   // the randomness it did before churn existed, keeping trajectory pins.
@@ -304,11 +332,11 @@ FlRunResult FlCoordinator::run() {
   // stale upload/arrival events for a superseded dispatch become no-ops.
   enum class Phase : std::uint8_t { kIdle, kPending, kDone, kDropped,
                                     kEvicted };
-  std::vector<Phase> phase(clients_.size(), Phase::kIdle);
-  std::vector<std::uint64_t> generation(clients_.size(), 0);
-  std::vector<char> dropped(clients_.size(), 0);  // this round's dropout draws
+  std::vector<Phase> phase(config_.clients, Phase::kIdle);
+  std::vector<std::uint64_t> generation(config_.clients, 0);
+  std::vector<char> dropped(config_.clients, 0);  // this round's dropout draws
   // Tier-1 edge owning each client THIS round (crash re-sharding moves it).
-  std::vector<std::size_t> owner_round(clients_.size(), 0);
+  std::vector<std::size_t> owner_round(config_.clients, 0);
   // The aggregation point folding client i's update (see ClientTraceEntry).
   const auto node_of = [&](std::size_t i) -> std::size_t {
     return tree_ ? 1 + tree_->flat_index(0, owner_round[i]) : 0;
@@ -354,7 +382,7 @@ FlRunResult FlCoordinator::run() {
   // dispatch order.
   std::vector<std::vector<std::size_t>> edge_members(tree_ ? edge_count : 1);
   if (!tree_)
-    for (std::size_t i = 0; i < clients_.size(); ++i)
+    for (std::size_t i = 0; i < config_.clients; ++i)
       edge_members[0].push_back(i);
   std::vector<std::vector<std::size_t>> edge_cohort;
   // Participating children of each node above tier 1 (level l-1 indices).
@@ -364,6 +392,10 @@ FlRunResult FlCoordinator::run() {
   // Broadcast traffic charged to each interior node's link this round.
   std::vector<std::size_t> node_downlink_bytes(interior, 0);
   std::vector<double> node_downlink_seconds(interior, 0.0);
+  // This round's partial from each remote tier-1 edge, shipped when the
+  // pump has delivered the edge's last update.
+  std::vector<std::shared_ptr<const EncodedPartial>> remote_partials(
+      remote_ ? edge_count : 0);
 
   using Snapshot = std::shared_ptr<const StateDict>;
   using PayloadPtr = std::shared_ptr<const Bytes>;
@@ -387,9 +419,11 @@ FlRunResult FlCoordinator::run() {
       out.downlink_decode_seconds = downlink_stats.decompress_seconds;
       train_on = &decoded_model;
     }
-    out.update = produce_update(*clients_[i], *train_on, round, *codec_,
-                                config_.error_feedback ? &feedback_[i]
-                                                       : nullptr);
+    ProducedUpdate update =
+        produce_update(*clients_[i], *train_on, round, *codec_,
+                       config_.error_feedback ? &feedback_[i] : nullptr);
+    out.delivery = delivery_of(i, update);
+    out.payload = std::move(update.payload);
     return out;
   };
 
@@ -464,7 +498,8 @@ FlRunResult FlCoordinator::run() {
   // kFull broadcast reconstruction); `broadcast` (per-client downlink path)
   // makes the worker decode its own payload first. A client drawn as a
   // dropout this round never reaches the pool: it "trains" for half its
-  // compute budget and vanishes.
+  // compute budget and vanishes. A remote client already trained on its
+  // edge; only its virtual compute timer runs here.
   dispatch = [&](std::size_t i, int round, Snapshot model,
                  PayloadPtr broadcast) {
     InFlight& flight = flights[i];
@@ -480,9 +515,10 @@ FlRunResult FlCoordinator::run() {
                            [&, i, gen] { on_drop(i, gen); });
       return;
     }
-    flight.future = pool.submit([&client_work, i, round, model, broadcast] {
-      return client_work(i, round, std::move(model), std::move(broadcast));
-    });
+    if (!remote_)
+      flight.future = pool.submit([&client_work, i, round, model, broadcast] {
+        return client_work(i, round, std::move(model), std::move(broadcast));
+      });
     queue.schedule_after(compute_seconds_[i],
                          [&, i, gen] { on_upload(i, gen); });
   };
@@ -634,9 +670,9 @@ FlRunResult FlCoordinator::run() {
   on_upload = [&](std::size_t i, std::uint64_t gen) {
     if (!live_dispatch(i, gen)) return;
     InFlight& flight = flights[i];
-    flight.out = flight.future.get();
+    if (!remote_) flight.out = flight.future.get();
     flight.transfer_seconds =
-        network_.link(i).transfer_seconds(flight.out.update.payload.size());
+        network_.link(i).transfer_seconds(flight.out.delivery.payload_bytes);
     queue.schedule_after(flight.transfer_seconds,
                          [&, i, gen] { on_arrival(i, gen); });
   };
@@ -678,8 +714,10 @@ FlRunResult FlCoordinator::run() {
 
   ship_node = [&](std::size_t l, std::size_t n) {
     nodes[l][n].open = false;
-    auto partial = std::make_shared<const EncodedPartial>(
-        tree_->node(l, n).finalize_and_encode(completed));
+    auto partial = remote_ && l == 0
+                       ? std::move(remote_partials[n])
+                       : std::make_shared<const EncodedPartial>(
+                             tree_->node(l, n).finalize_and_encode(completed));
     ++partials_in_flight;
     const double transfer =
         tree_->uplink(l, n).transfer_seconds(partial->payload.size());
@@ -738,7 +776,8 @@ FlRunResult FlCoordinator::run() {
   // owning edge (hier): decode it (serially per node — at most one decoded
   // update is ever alive there), fold it into that node's streaming
   // accumulator, score the Eqn (1) decision against this client's own
-  // link, and trigger the node's close-out once its goal is met.
+  // link, and trigger the node's close-out once its goal is met. A remote
+  // edge decoded and folded the update itself; only the accounting runs.
   on_arrival = [&](std::size_t i, std::uint64_t gen) {
     if (!live_dispatch(i, gen)) return;
     phase[i] = Phase::kDone;
@@ -747,7 +786,7 @@ FlRunResult FlCoordinator::run() {
     const std::size_t e = owner_round[i];  // 0 on a flat run
     const std::size_t node_id = node_of(i);
 
-    ClientDelivery delivery = delivery_of(i, out.update);
+    ClientDelivery delivery = std::move(out.delivery);
     delivery.node = node_id;
     delivery.dispatch_round = flight.dispatch_round;
     delivery.dispatch_seconds = flight.dispatch_seconds;
@@ -764,24 +803,27 @@ FlRunResult FlCoordinator::run() {
       return;
     }
 
-    CompressionStats decode_stats;
-    const Bytes& payload = out.update.payload;
-    StateDict update =
-        codec_->decode({payload.data(), payload.size()}, &decode_stats);
-    ++live[node_id];
-    peak[node_id] = std::max(peak[node_id], live[node_id]);
     delivery.weight =
-        static_cast<double>(out.update.samples) *
+        static_cast<double>(delivery.samples) *
         scheduler_->staleness_scale(flight.dispatch_round, completed);
-    if (tree_) {
-      tree_->node(0, e).fold(update, delivery.weight);
+    if (remote_) {
+      peak[node_id] = std::max<std::size_t>(peak[node_id], 1);
     } else {
-      server_.accumulate(update, delivery.weight);
-      record.aggregate_weight += delivery.weight;
+      CompressionStats decode_stats;
+      StateDict update = codec_->decode(
+          {out.payload.data(), out.payload.size()}, &decode_stats);
+      ++live[node_id];
+      peak[node_id] = std::max(peak[node_id], live[node_id]);
+      if (tree_) {
+        tree_->node(0, e).fold(update, delivery.weight);
+      } else {
+        server_.accumulate(update, delivery.weight);
+        record.aggregate_weight += delivery.weight;
+      }
+      update = StateDict();  // folded; free it before anything else arrives
+      --live[node_id];
+      delivery.decode_seconds = decode_stats.decompress_seconds;
     }
-    update = StateDict();  // folded; free it before anything else arrives
-    --live[node_id];
-    delivery.decode_seconds = decode_stats.decompress_seconds;
     account_delivery(record, delivery, population_.get(), network_.link(i));
 
     if (!tree_) {
@@ -865,7 +907,7 @@ FlRunResult FlCoordinator::run() {
   // withdraw empty-handed) — the cascade then resolves the upper tiers.
   evict_stragglers = [&] {
     const int round = completed;
-    for (std::size_t i = 0; i < clients_.size(); ++i) {
+    for (std::size_t i = 0; i < config_.clients; ++i) {
       if (phase[i] != Phase::kPending) continue;
       phase[i] = Phase::kEvicted;
       trace_flight(i, DeliveryStatus::kEvicted);
@@ -894,8 +936,8 @@ FlRunResult FlCoordinator::run() {
     server_.begin_round();
     if (scheduler_->continuous() && !initial) {
       // Clients redispatch themselves on arrival; just reset the buffer.
-      root_goal = scheduler_->aggregation_goal(clients_.size());
-      record.eligible_clients = clients_.size();
+      root_goal = scheduler_->aggregation_goal(config_.clients);
+      record.eligible_clients = config_.clients;
       return;
     }
     std::fill(phase.begin(), phase.end(), Phase::kIdle);
@@ -913,12 +955,13 @@ FlRunResult FlCoordinator::run() {
           tree_->node(l, n).abort_round();
           nodes[l][n] = NodeRound{};
         }
-      // Static shards first; this round's crash draws then re-shard the
-      // victims' clients round-robin across the surviving siblings.
+      // Static shards first; this round's crashed edges (seeded crash
+      // draws, or remote workers that died) then re-shard their clients
+      // across the surviving siblings.
       for (std::size_t e = 0; e < edge_count; ++e)
         edge_members[e] = tree_->base_shards()[e];
+      std::vector<char> crashed(edge_count, 0);
       if (config_.failures.edge_failure_rate > 0.0) {
-        std::vector<char> crashed(edge_count, 0);
         bool any_alive = false;
         for (std::size_t e = 0; e < edge_count; ++e) {
           crashed[e] =
@@ -926,32 +969,37 @@ FlRunResult FlCoordinator::run() {
           any_alive = any_alive || !crashed[e];
         }
         if (!any_alive) crashed[0] = 0;  // at least one edge survives
-        std::vector<std::size_t> displaced;
-        std::vector<std::size_t> alive;
-        for (std::size_t e = 0; e < edge_count; ++e) {
-          if (crashed[e]) {
-            record.crashed_nodes.push_back(tree_->flat_index(0, e));
-            displaced.insert(displaced.end(), edge_members[e].begin(),
-                             edge_members[e].end());
-            edge_members[e].clear();
-          } else {
-            alive.push_back(e);
-          }
+      }
+      if (remote_)
+        for (std::size_t e = 0; e < edge_count; ++e)
+          crashed[e] = crashed[e] || remote_->crashed(e);
+      std::vector<std::size_t> displaced;
+      std::vector<std::size_t> alive;
+      for (std::size_t e = 0; e < edge_count; ++e) {
+        if (crashed[e]) {
+          record.crashed_nodes.push_back(tree_->flat_index(0, e));
+          displaced.insert(displaced.end(), edge_members[e].begin(),
+                           edge_members[e].end());
+          edge_members[e].clear();
+        } else {
+          alive.push_back(e);
         }
-        if (!displaced.empty()) {
-          // Seeded shuffle so re-homing is deterministic but uncorrelated
-          // with index order, then round-robin over the survivors.
-          for (std::size_t k = displaced.size(); k > 1; --k)
-            std::swap(displaced[k - 1],
-                      displaced[failure_rng.uniform_index(k)]);
-          for (std::size_t k = 0; k < displaced.size(); ++k)
-            edge_members[alive[k % alive.size()]].push_back(displaced[k]);
-        }
+      }
+      if (alive.empty())
+        throw net::TransportError(
+            "FlCoordinator: every remote edge died with rounds remaining");
+      if (!displaced.empty()) {
+        // Seeded shuffle so re-homing is deterministic but uncorrelated
+        // with index order, then round-robin over the survivors.
+        for (std::size_t k = displaced.size(); k > 1; --k)
+          std::swap(displaced[k - 1], displaced[failure_rng.uniform_index(k)]);
+        for (std::size_t k = 0; k < displaced.size(); ++k)
+          edge_members[alive[k % alive.size()]].push_back(displaced[k]);
       }
       for (std::size_t e = 0; e < edge_count; ++e)
         for (const std::size_t i : edge_members[e]) owner_round[i] = e;
     }
-    edge_cohort = draw_round_open(edge_members, clients_.size(),
+    edge_cohort = draw_round_open(edge_members, config_.clients,
                                   population_.get(), *scheduler_, streams,
                                   queue.now(), tree_ ? 1 : 0, record);
     std::vector<std::size_t> cohort;
@@ -963,7 +1011,9 @@ FlRunResult FlCoordinator::run() {
         NodeRound& s = nodes[l][n];
         s.participating = s.open = true;
         s.expected = expected;
-        tree_->node(l, n).begin_round(server_.global_state());
+        // A remote edge keeps its accumulator in its worker.
+        if (!remote_ || l > 0)
+          tree_->node(l, n).begin_round(server_.global_state());
       };
       for (std::size_t e = 0; e < edge_count; ++e)
         if (!edge_cohort[e].empty()) open_node(0, e, edge_cohort[e].size());
@@ -1011,8 +1061,32 @@ FlRunResult FlCoordinator::run() {
       });
       return;
     }
-    const auto snapshot =
-        std::make_shared<const StateDict>(server_.global_state());
+    if (remote_) {
+      // A worker that dies instead of reporting loses its cohort: with no
+      // compute budget reported, each member drops at the open.
+      std::vector<std::optional<EdgeReport>> reports = remote_->run_round(
+          completed, queue.now(), edge_cohort, server_.global_state());
+      for (std::size_t e = 0; e < edge_count; ++e) {
+        std::optional<EdgeReport>& report = reports[e];
+        for (std::size_t k = 0; k < edge_cohort[e].size(); ++k) {
+          const std::size_t i = edge_cohort[e][k];
+          if (!report) {
+            dropped[i] = 1;
+            compute_seconds_[i] = 0.0;
+            continue;
+          }
+          compute_seconds_[i] = report->updates[k].compute_seconds;
+          flights[i].out.delivery = std::move(report->updates[k].delivery);
+        }
+        if (report)
+          remote_partials[e] = std::make_shared<const EncodedPartial>(
+              std::move(report->partial));
+      }
+    }
+    // A remote client trains on its edge, so it needs no snapshot here.
+    const Snapshot snapshot =
+        remote_ ? nullptr
+                : std::make_shared<const StateDict>(server_.global_state());
     if (!downlink_) {
       // Free lossless broadcast: clients start on the exact global at once.
       for (const std::size_t i : cohort)

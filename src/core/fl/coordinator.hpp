@@ -22,7 +22,9 @@
 // re-encodes it through its backhaul codec spec, and a new edge-arrival
 // event delivers it over the edge's own backhaul link; the root merges
 // partials and aggregates when every edge reported. Downlink broadcasts
-// fan out the other way (root->edge->client), charged per hop.
+// fan out the other way (root->edge->client), charged per hop. A
+// distributed run's root is this same pump with every tier-1 edge in a
+// worker process (RemoteEdges, core/fl/federation.hpp).
 #pragma once
 
 #include <optional>
@@ -41,6 +43,7 @@
 namespace fedsz::core {
 
 struct CodecSpec;
+class RemoteEdges;
 
 /// Seeded churn injection, applied as coordinator pump events. Every draw
 /// comes from its own RNG stream (seeded here, or derived from the run
@@ -365,6 +368,12 @@ class FlCoordinator {
   FlCoordinator(const nn::ModelConfig& model_config, data::DatasetPtr train,
                 data::DatasetPtr test, FlRunConfig config,
                 UpdateCodecPtr codec, SchedulerPtr scheduler = nullptr);
+  /// The root of a distributed run: every tier-1 edge trains its own
+  /// clients behind `edges` (which must outlive the coordinator), so no
+  /// training set, client or update codec lives here.
+  FlCoordinator(const nn::ModelConfig& model_config, data::DatasetPtr test,
+                FlRunConfig config, RemoteEdges& edges,
+                SchedulerPtr scheduler = nullptr);
 
   /// Pump events until the configured number of aggregations completes and
   /// return the full trace.
@@ -378,6 +387,11 @@ class FlCoordinator {
   const AggregationTree* topology() const { return tree_.get(); }
 
  private:
+  FlCoordinator(const nn::ModelConfig& model_config, data::DatasetPtr train,
+                data::DatasetPtr test, FlRunConfig config,
+                UpdateCodecPtr codec, SchedulerPtr scheduler,
+                RemoteEdges* remote);
+
   nn::ModelConfig model_config_;
   data::DatasetPtr test_;
   FlRunConfig config_;
@@ -393,6 +407,7 @@ class FlCoordinator {
   std::unique_ptr<DownlinkChannel> downlink_;  // null = free broadcast
   std::unique_ptr<AggregationTree> tree_;      // null = flat star
   std::vector<ErrorFeedbackAccumulator> feedback_;  // one per client
+  RemoteEdges* remote_ = nullptr;  // null = every edge runs in process
 };
 
 }  // namespace fedsz::core

@@ -1,35 +1,40 @@
-// Cross-process federation: the distributed twin of the in-process
-// hierarchical coordinator. A FederatedRoot owns the server side of a
-// single-tier `topology=hier:<N>` campaign — the global model, the round
-// draws, the aggregation strategy, evaluation — while each tier-1 edge
-// cohort runs inside its own WORKER (a thread over a loopback stream in
-// tests, a separate `fedsz_edge_worker` process over TCP in production)
-// speaking the versioned frame protocol from net/wire.hpp:
+// Cross-process federation: a single-tier `topology=hier:<N>` campaign
+// whose tier-1 edge cohorts each train inside their own WORKER (a thread
+// over a loopback stream in tests, a separate `fedsz_edge_worker` process
+// over TCP in production), speaking the versioned frame protocol from
+// net/wire.hpp:
 //
 //   root -> worker   HELLO      run manifest (everything the worker needs
 //                               to rebuild its deterministic slice)
 //   worker -> root   ACK        fingerprint echo + assigned edge index
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
-//   worker -> root   PARTIAL    one re-encoded partial mean + per-client
-//                               deliveries, ordering keys included
+//   worker -> root   PARTIAL    one re-encoded partial mean + each client's
+//                               update cost and compute budget
 //   worker -> root   HEARTBEAT  liveness beacon (wall-clock cadence)
 //   root -> worker   BYE        campaign over
 //
-// Determinism: every round decision — seeds, compute budgets, update
-// production, the round-open draw, the RoundRecord accounting, the round
-// close — is the same code the in-process coordinator runs
-// (core/fl/round_steps.hpp). Only event ORDER is replicated: workers fold
-// in the (arrival, upload, dispatch position) order the event queue would
-// have used, and the root re-sorts what it merges the same way. A TCP run
-// is therefore BIT-IDENTICAL, round for round, to FlCoordinator::run().
+// One pump: the root IS FlCoordinator::run(), with its tier-1 edges behind
+// the RemoteEdges seam (core/fl/round_steps.hpp). FederatedRoot keeps only
+// the wire work: the handshake, one reader thread per worker,
+// heartbeat/EOF crash detection and BYE. The pump sends each round to every
+// worker before it waits on any, so edges train concurrently, then
+// schedules each reported update after the client's compute budget and
+// over the client's own link, exactly as it schedules a local one: the same
+// queue orders remote arrivals, the same code traces them and scores
+// Eqn (1), and an edge's partial ships when its last update arrives. A
+// worker folds its cohort in that same virtual-clock order, so a TCP run is
+// BIT-IDENTICAL, round for round, to the in-process run.
 //
 // Churn: a worker that closes before its handshake ACK never confirmed its
 // build, so the run fails with a TransportError. A worker that dies after
-// its ACK (EOF, or silence past the heartbeat timeout) is crashed, whenever
-// that happens: its outstanding cohort is traced kDropped and its members
-// re-home round-robin onto the survivors from the next round (workers
-// train whatever cohort the root assigns, so no data moves).
+// its ACK (EOF, or silence past the heartbeat timeout) is crashed. If it
+// dies owing a round's PARTIAL, that cohort drops at the round's open time
+// (kDropped traces at the edge's node, weight 0). At every later round open
+// the edge is listed in RoundRecord::crashed_nodes and its members re-home
+// by the in-process policy: a seeded shuffle from the failure stream, then
+// round-robin onto the survivors (workers train whatever cohort the root
+// assigns, so no data moves).
 #pragma once
 
 #include <cstdint>
@@ -38,6 +43,7 @@
 #include <vector>
 
 #include "core/fl/coordinator.hpp"
+#include "core/fl/round_steps.hpp"
 #include "net/transport.hpp"
 
 namespace fedsz::core {
@@ -96,12 +102,22 @@ Bytes serialize_manifest(const RunManifest& manifest);
 /// Throws CorruptStream on truncation or malformed fields.
 RunManifest parse_manifest(ByteSpan bytes);
 
+/// A PARTIAL frame body: the round an edge answers and its report.
+struct PartialMsg {
+  int round = 0;
+  EdgeReport report;
+};
+
+Bytes serialize_partial(const PartialMsg& msg);
+/// Throws CorruptStream on truncation, malformed fields or a client id
+/// outside [0, clients).
+PartialMsg parse_partial(ByteSpan bytes, std::size_t clients);
+
 /// The server process of a distributed campaign. Restrictions (enforced in
-/// the constructor) keep the replicated schedule exact: single-tier
-/// hierarchy, barrier scheduler, sync edges, free lossless broadcast (no
-/// downlink spec), no injected failure schedule (wire churn IS the failure
-/// model here), no checkpointing (the root holds no client state to lose —
-/// checkpoint in-process runs instead).
+/// the constructor): single-tier hierarchy, barrier scheduler, sync edges,
+/// free lossless broadcast (no downlink spec), no injected failure schedule
+/// (wire churn IS the failure model here), no checkpointing (checkpoint
+/// in-process runs instead).
 class FederatedRoot {
  public:
   /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`
@@ -133,9 +149,9 @@ class FederatedRoot {
   std::size_t edge_count_ = 0;
 };
 
-/// The entire worker side: handshake, per-round replication of the edge
-/// schedule (train cohort, encode, fold in event order, re-encode the
-/// partial), heartbeats, clean BYE/EOF exit. Blocks until the campaign
+/// The entire worker side: handshake, each round's edge work (train the
+/// cohort, encode, fold in virtual-clock order, re-encode the partial),
+/// heartbeats, clean BYE/EOF exit. Blocks until the campaign
 /// ends or the stream dies; throws TransportError/CorruptStream on a
 /// broken or malformed peer.
 void run_edge_worker(net::StreamPtr stream);

@@ -1,16 +1,15 @@
-// The round decisions both round engines make, each implemented once. The
-// in-process event pump (FlCoordinator::run) and the distributed pair
-// (FederatedRoot and its edge workers, core/fl/federation.hpp) call these
-// steps, so a TCP round equals an in-process round by construction. What
-// stays per engine is event ORDER (the coordinator's virtual-clock queue
-// versus the federation's analytic arrival replay) and the re-homing of a
-// dead edge's clients (a seeded shuffle in process, round-robin on TCP).
+// The round decisions of the one round engine, each implemented once. The
+// event pump (FlCoordinator::run) calls them for every run; the edge worker
+// of a distributed run (core/fl/federation.hpp) calls the update-production
+// steps for the clients it trains. RemoteEdges below is the seam between
+// the pump and tier-1 edges that run in another process.
 //
-// Each step consumes randomness and accumulates its sums in the order its
-// callers did before it was shared, so every trajectory pin holds.
+// Each step consumes randomness and accumulates its sums in a fixed order,
+// so every trajectory pin holds.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "core/fl/coordinator.hpp"
@@ -149,6 +148,43 @@ EdgeTraceEntry partial_trace(const EncodedPartial& partial, std::size_t flat,
 /// A merged partial (decode time stamped on its trace): added to the
 /// round's backhaul sums and per-tier byte split.
 void account_partial(RoundRecord& record, EdgeTraceEntry trace);
+
+// ---- remote tier-1 edges ----
+
+/// One client's update as its remote edge reports it: what producing it
+/// cost, its payload size and the edge's decode time (no node, timing or
+/// weight: the root's own clock and links supply those), plus the virtual
+/// seconds the client trained.
+struct ReportedUpdate {
+  ClientDelivery delivery;
+  double compute_seconds = 0.0;
+};
+
+/// A remote edge's round: its cohort's updates in dispatch order and the
+/// re-encoded partial it folded them into.
+struct EdgeReport {
+  std::vector<ReportedUpdate> updates;
+  EncodedPartial partial;
+};
+
+/// Tier-1 edges that run in worker processes (FederatedRoot). The pump
+/// hands a round to every edge at once, then schedules each reported update
+/// on its own virtual clock exactly as it schedules a local one.
+class RemoteEdges {
+ public:
+  virtual ~RemoteEdges() = default;
+  /// Whether edge `edge`'s worker has died; its clients then re-home at
+  /// every later round open.
+  virtual bool crashed(std::size_t edge) const = 0;
+  /// Sends round `round`, open at virtual time `now` on `global`, to every
+  /// edge with a non-empty cohort before it waits on any, so the edges
+  /// train concurrently; then waits for them all. Returns each edge's
+  /// report, nullopt where the edge had no cohort or its worker died first.
+  virtual std::vector<std::optional<EdgeReport>> run_round(
+      int round, double now,
+      const std::vector<std::vector<std::size_t>>& cohorts,
+      const StateDict& global) = 0;
+};
 
 // ---- round close ----
 

@@ -94,7 +94,12 @@ class TcpStream final : public Stream {
     int one = 1;
     ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
-  ~TcpStream() override { close(); }
+  // Only the destructor releases the fd: no thread can still be inside a
+  // call on this stream, so the number cannot be reused under a reader.
+  ~TcpStream() override {
+    close();
+    ::close(fd_);
+  }
 
   void write_all(ByteSpan data) override {
     const std::uint8_t* p = data.data();
@@ -123,16 +128,15 @@ class TcpStream final : public Stream {
     }
   }
 
+  /// Shuts the socket down once, which wakes a reader blocked in recv()
+  /// (it sees EOF); later reads return EOF and writes fail.
   void close() override {
-    int fd = fd_.exchange(-1);
-    if (fd >= 0) {
-      ::shutdown(fd, SHUT_RDWR);
-      ::close(fd);
-    }
+    if (!shut_.exchange(true)) ::shutdown(fd_, SHUT_RDWR);
   }
 
  private:
-  std::atomic<int> fd_;
+  const int fd_;
+  std::atomic<bool> shut_{false};
 };
 
 }  // namespace

@@ -45,7 +45,8 @@ class Stream {
   /// Read at least 1 and at most `capacity` bytes into `out` (blocking).
   /// Returns 0 on end-of-stream (peer closed). Throws TransportError.
   virtual std::size_t read_some(std::uint8_t* out, std::size_t capacity) = 0;
-  /// Close both directions; unblocks a peer blocked in read_some.
+  /// Close both directions; unblocks a reader blocked in read_some on
+  /// either end. The stream stays safe to call into until destroyed.
   virtual void close() = 0;
 };
 

@@ -8,11 +8,6 @@ namespace fedsz::net {
 
 namespace {
 
-bool known_frame_type(std::uint8_t raw) {
-  return raw >= static_cast<std::uint8_t>(FrameType::kHello) &&
-         raw <= static_cast<std::uint8_t>(FrameType::kBye);
-}
-
 [[noreturn]] void corrupt(const std::string& what) { throw CorruptStream("wire: " + what); }
 
 std::uint32_t read_u32_le(const std::uint8_t* p) {
@@ -26,7 +21,6 @@ std::string frame_type_name(FrameType type) {
   switch (type) {
     case FrameType::kHello: return "HELLO";
     case FrameType::kRoundOpen: return "ROUND_OPEN";
-    case FrameType::kUpdate: return "UPDATE";
     case FrameType::kPartial: return "PARTIAL";
     case FrameType::kBroadcast: return "BROADCAST";
     case FrameType::kAck: return "ACK";
@@ -109,7 +103,7 @@ std::optional<Frame> FrameDecoder::next() {
     poisoned_ = true;
     corrupt("unsupported frame version " + std::to_string(version));
   }
-  if (!known_frame_type(raw_type)) {
+  if (frame_type_name(static_cast<FrameType>(raw_type)) == "UNKNOWN") {
     poisoned_ = true;
     corrupt("unknown frame type " + std::to_string(raw_type));
   }

@@ -30,24 +30,24 @@
 
 namespace fedsz::net {
 
+/// Type 3 is unassigned: the decoder rejects it like any unknown type.
 enum class FrameType : std::uint8_t {
-  kHello = 1,      // handshake: run manifest (root->edge), ack (edge->root)
+  kHello = 1,      // root->edge handshake: the run manifest
   kRoundOpen = 2,  // root->edge: round index, virtual open time, cohort
-  kUpdate = 3,     // reserved: a single client update routed upstream
   kPartial = 4,    // edge->root: the round's folded, re-encoded partial
   kBroadcast = 5,  // root->edge: the serialized global model
-  kAck = 6,        // root->edge: partial merged
-  kHeartbeat = 7,  // edge->root: liveness (payload: virtual round index)
+  kAck = 6,        // edge->root handshake: fingerprint echo + edge index
+  kHeartbeat = 7,  // edge->root: liveness (empty payload)
   kBye = 8,        // either side: orderly shutdown
 };
 
 std::string frame_type_name(FrameType type);
 
 inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
-/// v2: PARTIAL deliveries carry the full encode stats (sparse census
-/// included). A root and a worker of different versions fail on the first
-/// frame instead of mid-parse.
-inline constexpr std::uint8_t kWireVersion = 2;
+/// v3: each PARTIAL delivery carries the client's sample count and compute
+/// budget, and the root's own clock orders them. A root and a worker of
+/// different versions fail on the first frame instead of mid-parse.
+inline constexpr std::uint8_t kWireVersion = 3;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

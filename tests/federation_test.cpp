@@ -4,13 +4,16 @@
 // real TCP with fedsz_edge_worker processes (when the build provides
 // FEDSZ_BIN_DIR), and through churn (a worker that dies after its
 // handshake ACK gets its cohort dropped for the round and re-homed after;
-// one that dies before its ACK fails the run).
+// one that dies before its ACK fails the run), and a PARTIAL that does not
+// cover its edge's cohort is rejected as corrupt.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -229,8 +232,8 @@ TEST(FederationTest, SparseLoopbackMatchesInProcess) {
 
 // A client population must cross the wire bit-identically: the manifest's
 // codec spec rebuilds the same device classes, links, and data weights on
-// every worker, and the root replays the in-process availability draws in
-// the same (edge, member) order.
+// every worker, and the root's pump makes the availability draws in the
+// same (edge, member) order as an in-process run.
 TEST(FederationTest, PopulationLoopbackMatchesInProcess) {
   FlRunResult distributed;
   expect_loopback_matches_in_process(
@@ -306,6 +309,34 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
   // Round 1: the crash is recorded and everyone trains again.
   ASSERT_EQ(result.rounds[1].crashed_nodes.size(), 1u);
   EXPECT_EQ(result.rounds[1].participants, kClients);
+
+  // The dead edge's round-0 cohort dropped at the round's open (virtual
+  // time 0), traced at the dead edge's node with weight 0.
+  const AggregationTree tree(config.topology, kClients);
+  const std::vector<std::size_t>& deserted = tree.base_shards()[1];
+  EXPECT_EQ(result.rounds[1].crashed_nodes[0], tree.flat_index(0, 1));
+  std::vector<std::size_t> dropped_clients;
+  for (const ClientTraceEntry& t : result.rounds[0].clients) {
+    if (t.status != DeliveryStatus::kDropped) continue;
+    dropped_clients.push_back(t.client);
+    EXPECT_EQ(t.node, 1 + tree.flat_index(0, 1));
+    EXPECT_EQ(t.dispatch_round, 0);
+    EXPECT_EQ(t.dispatch_seconds, 0.0);
+    EXPECT_EQ(t.arrival_seconds, 0.0);
+    EXPECT_EQ(t.weight, 0.0);
+  }
+  std::sort(dropped_clients.begin(), dropped_clients.end());
+  EXPECT_EQ(dropped_clients, deserted);
+  // Round 1: every former member trains under the survivor's node.
+  const std::vector<ClientTraceEntry>& round1 = result.rounds[1].clients;
+  for (const std::size_t member : deserted) {
+    const auto it = std::find_if(
+        round1.begin(), round1.end(),
+        [&](const ClientTraceEntry& t) { return t.client == member; });
+    ASSERT_NE(it, round1.end()) << "client " << member;
+    EXPECT_EQ(it->node, 1 + tree.flat_index(0, 0)) << "client " << member;
+    EXPECT_EQ(it->status, DeliveryStatus::kAggregated) << "client " << member;
+  }
 }
 
 // A worker that closes on HELLO never confirmed its build: the root fails
@@ -335,6 +366,93 @@ TEST(FederationTest, DeathBeforeAckIsFatal) {
   streams.push_back(std::move(root0));
   streams.push_back(std::move(root1));
   EXPECT_THROW(root.run_with_streams(std::move(streams)), net::TransportError);
+}
+
+// A hand-rolled edge worker: it ACKs the handshake, then answers every
+// ROUND_OPEN with a PARTIAL that lists the clients `report` makes of the
+// cohort it was sent (nothing trained, an empty partial). It exits when the
+// root hangs up.
+using CohortReport =
+    std::function<std::vector<std::size_t>(std::vector<std::size_t>)>;
+
+std::jthread start_crafted_worker(net::StreamPtr stream, CohortReport report) {
+  return std::jthread([stream = std::move(stream), report]() mutable {
+    net::FrameChannel chan(std::move(stream));
+    try {
+      const auto hello = chan.recv();
+      if (!hello) return;
+      const RunManifest manifest =
+          parse_manifest({hello->payload.data(), hello->payload.size()});
+      ByteWriter ack;
+      ack.put_u32(manifest.fingerprint);
+      ack.put_varint(manifest.edge);
+      const Bytes ack_bytes = ack.finish();
+      chan.send(net::FrameType::kAck, {ack_bytes.data(), ack_bytes.size()});
+      while (const auto frame = chan.recv()) {
+        if (frame->type != net::FrameType::kRoundOpen) continue;
+        ByteReader in({frame->payload.data(), frame->payload.size()});
+        PartialMsg msg;
+        msg.round = static_cast<int>(in.get_varint());
+        (void)in.get_f64();  // virtual open time
+        std::vector<std::size_t> cohort(in.get_varint());
+        for (std::size_t& client : cohort)
+          client = static_cast<std::size_t>(in.get_varint());
+        for (const std::size_t client : report(cohort))
+          msg.report.updates.emplace_back().delivery.client = client;
+        const Bytes body = serialize_partial(msg);
+        chan.send(net::FrameType::kPartial, {body.data(), body.size()});
+      }
+    } catch (const std::exception&) {
+      // The root hung up mid-send after rejecting a PARTIAL.
+    }
+  });
+}
+
+// The root matches a PARTIAL's deliveries to the cohort it sent that edge
+// by client id: a missing, duplicated or foreign client is corrupt input.
+TEST(FederationTest, PartialOutsideItsCohortIsCorrupt) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  const std::vector<std::pair<const char*, CohortReport>> cases = {
+      {"missing",
+       [](std::vector<std::size_t> cohort) {
+         cohort.pop_back();
+         return cohort;
+       }},
+      {"duplicated",
+       [](std::vector<std::size_t> cohort) {
+         cohort.back() = cohort.front();
+         return cohort;
+       }},
+      {"foreign",  // client 0 belongs to edge 0
+       [](std::vector<std::size_t> cohort) {
+         cohort.back() = 0;
+         return cohort;
+       }},
+  };
+  for (const auto& [name, misreport] : cases) {
+    SCOPED_TRACE(name);
+    FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                       data::take(test, 256), base_config(spec), spec);
+    ASSERT_EQ(root.edge_count(), 2u);
+    auto [root0, worker0] = net::make_loopback_pair();
+    auto [root1, worker1] = net::make_loopback_pair();
+    std::jthread honest = start_crafted_worker(
+        std::move(worker0), [](std::vector<std::size_t> c) { return c; });
+    std::jthread liar = start_crafted_worker(std::move(worker1), misreport);
+    std::vector<net::StreamPtr> streams;
+    streams.push_back(std::move(root0));
+    streams.push_back(std::move(root1));
+    try {
+      root.run_with_streams(std::move(streams));
+      ADD_FAILURE() << "the root accepted a PARTIAL outside its cohort";
+    } catch (const CorruptStream& error) {
+      EXPECT_NE(std::string(error.what()).find("does not match its cohort"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 #ifdef FEDSZ_BIN_DIR

@@ -23,9 +23,9 @@ Bytes make_payload(std::size_t size, std::uint64_t seed) {
 
 TEST(WireTest, RoundTripAllTypes) {
   for (const FrameType type :
-       {FrameType::kHello, FrameType::kRoundOpen, FrameType::kUpdate,
-        FrameType::kPartial, FrameType::kBroadcast, FrameType::kAck,
-        FrameType::kHeartbeat, FrameType::kBye}) {
+       {FrameType::kHello, FrameType::kRoundOpen, FrameType::kPartial,
+        FrameType::kBroadcast, FrameType::kAck, FrameType::kHeartbeat,
+        FrameType::kBye}) {
     const Bytes payload =
         make_payload(static_cast<std::size_t>(type) * 37, 1);
     const Bytes framed = encode_frame(type, {payload.data(), payload.size()});
@@ -160,14 +160,23 @@ TEST(WireTest, UnknownVersionAndTypeRejected) {
     decoder.feed({framed.data(), framed.size()});
     EXPECT_THROW(decoder.next(), CorruptStream);
   }
-  for (const std::uint8_t bad_type : {std::uint8_t{0}, std::uint8_t{9},
-                                      std::uint8_t{0x7F}, std::uint8_t{0xFF}}) {
+  for (const std::uint8_t bad_type :
+       {std::uint8_t{0}, std::uint8_t{3}, std::uint8_t{9}, std::uint8_t{0x7F},
+        std::uint8_t{0xFF}}) {
     Bytes framed =
         encode_frame(FrameType::kAck, {payload.data(), payload.size()});
     framed[5] = bad_type;  // type byte
     FrameDecoder decoder;
     decoder.feed({framed.data(), framed.size()});
     EXPECT_THROW(decoder.next(), CorruptStream) << unsigned(bad_type);
+  }
+  {
+    // Type 3 is unassigned: rejected even under a valid CRC.
+    const Bytes framed = encode_frame(static_cast<FrameType>(3),
+                                      {payload.data(), payload.size()});
+    FrameDecoder decoder;
+    decoder.feed({framed.data(), framed.size()});
+    EXPECT_THROW(decoder.next(), CorruptStream);
   }
 }
 
