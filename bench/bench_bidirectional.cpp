@@ -100,9 +100,9 @@ int main(int argc, char** argv) {
       "lossless broadcast)\n\n",
       options.clients > 0 ? std::to_string(options.clients).c_str() : "8");
 
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "bidirectional").set("smoke", options.smoke);
-  benchx::JsonValue runs_json = benchx::JsonValue::array();
+  util::JsonValue runs_json = util::JsonValue::array();
 
   for (const bool ef : {false, true}) {
     std::printf("Error feedback: %s\n", ef ? "on" : "off");
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
                        benchx::fmt_bytes(result.downlink_bytes),
                        benchx::fmt(result.virtual_seconds, 1),
                        benchx::fmt(result.mean_ef_residual_norm, 3)});
-        runs_json.push(benchx::JsonValue::object()
+        runs_json.push(util::JsonValue::object()
                            .set("uplink", up.spec)
                            .set("downlink", down.spec)
                            .set("error_feedback", ef)
@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
       "aggressive up 1e-1 bound the EF-on panel recovers most of the\n"
       "accuracy the EF-off panel loses.\n");
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

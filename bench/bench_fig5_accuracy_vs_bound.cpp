@@ -123,9 +123,9 @@ int main(int argc, char** argv) {
       options.clients > 0 ? std::to_string(options.clients).c_str() : "4",
       full ? "" : " — set FEDSZ_BENCH_FULL=1 for all datasets");
 
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "fig5_accuracy_vs_bound").set("smoke", options.smoke);
-  benchx::JsonValue runs_json = benchx::JsonValue::array();
+  util::JsonValue runs_json = util::JsonValue::array();
   for (const std::string& dataset : datasets) {
     std::printf("Dataset: %s\n", dataset.c_str());
     std::vector<std::string> headers{"Model"};
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
         const SweepResult result =
             run_spec(arch, dataset, entry.spec, options);
         row.push_back(benchx::fmt(result.accuracy * 100.0, 1));
-        runs_json.push(benchx::JsonValue::object()
+        runs_json.push(util::JsonValue::object()
                            .set("dataset", dataset)
                            .set("arch", arch)
                            .set("label", entry.label)
@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
       "trade a small accuracy dip (recovered by ef=on over rounds) for a\n"
       "strictly higher compression ratio than any SZ column.\n");
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

@@ -24,9 +24,9 @@ int main(int argc, char** argv) {
   const double mbps =
       options.bandwidth_mbps > 0.0 ? options.bandwidth_mbps : 10.0;
   const net::SimulatedNetwork network({mbps, 0.0});
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "fig7_comm_time").set("bandwidth_mbps", mbps);
-  benchx::JsonValue models_json = benchx::JsonValue::array();
+  util::JsonValue models_json = util::JsonValue::array();
 
   std::printf(
       "Figure 7: total communication time over a %.0f Mbps link vs REL "
@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
                 nn::model_display_name(arch).c_str(),
                 benchx::fmt_bytes(raw_bytes).c_str(),
                 benchx::fmt(uncompressed_seconds, 2).c_str());
-    benchx::JsonValue model_json = benchx::JsonValue::object();
+    util::JsonValue model_json = util::JsonValue::object();
     model_json.set("arch", arch).set("raw_bytes", raw_bytes);
-    benchx::JsonValue bounds_json = benchx::JsonValue::array();
+    util::JsonValue bounds_json = util::JsonValue::array();
     benchx::Table table({"REL bound", "CR", "FedSZ time (s)",
                          "Uncompressed (s)", "Speedup"});
     for (const double rel : bounds) {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                      benchx::fmt(decision.compressed_seconds, 3),
                      benchx::fmt(decision.uncompressed_seconds, 3),
                      benchx::fmt(decision.speedup(), 2) + "x"});
-      bounds_json.push(benchx::JsonValue::object()
+      bounds_json.push(util::JsonValue::object()
                            .set("rel_bound", rel)
                            .set("ratio", stats.ratio())
                            .set("fedsz_seconds", decision.compressed_seconds)
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
         "median %.0f Mbps, sigma 1.5): compression pays only on slow "
         "links\n",
         links.wan_median_mbps);
-    benchx::JsonValue clients_json = benchx::JsonValue::array();
+    util::JsonValue clients_json = util::JsonValue::array();
     benchx::Table table({"Client", "Link (Mbps)", "FedSZ (s)", "Raw (s)",
                          "Compress?"});
     for (std::size_t i = 0; i < clients; ++i) {
@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
            benchx::fmt(decision.uncompressed_seconds, 3),
            decision.worthwhile ? "yes" : "no"});
       clients_json.push(
-          benchx::JsonValue::object()
+          util::JsonValue::object()
               .set("client", i)
               .set("bandwidth_mbps", wan.link(i).profile().bandwidth_mbps)
               .set("fedsz_seconds", decision.compressed_seconds)
@@ -176,7 +176,7 @@ int main(int argc, char** argv) {
                    benchx::fmt(fedsz_downlink, 3)});
     table.print();
     json.set("bidirectional",
-             benchx::JsonValue::object()
+             util::JsonValue::object()
                  .set("uplink_only_seconds", uplink_only)
                  .set("raw_broadcast_total_seconds", raw_downlink)
                  .set("fedsz_broadcast_total_seconds", fedsz_downlink));
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       "roughly doubles round comm time; a compressed one nearly removes the\n"
       "gap.\n");
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

@@ -49,14 +49,14 @@ int main(int argc, char** argv) {
   for (const Candidate& c : candidates) headers.push_back(c.label + " (s)");
   headers.push_back("best");
   benchx::Table table(std::move(headers));
-  benchx::JsonValue sweep_json = benchx::JsonValue::array();
-  benchx::JsonValue bidi_sweep = benchx::JsonValue::array();
+  util::JsonValue sweep_json = util::JsonValue::array();
+  util::JsonValue bidi_sweep = util::JsonValue::array();
   std::vector<double> crossover(candidates.size(), -1.0);
   const double max_mbps = options.smoke ? 64.0 : 1024.0;
   for (double mbps = 1.0; mbps <= max_mbps; mbps *= 2.0) {
     const net::SimulatedNetwork network({mbps, 0.0});
     std::vector<std::string> row{benchx::fmt(mbps, 0)};
-    benchx::JsonValue row_json = benchx::JsonValue::object();
+    util::JsonValue row_json = util::JsonValue::object();
     row_json.set("bandwidth_mbps", mbps);
     double best_time = 1e300;
     std::size_t best_index = 0;
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
         "Bidirectional round trip (broadcast down + update up, SZ2):\n");
     benchx::Table bidi({"Bandwidth (Mbps)", "FedSZ both (s)",
                         "raw down + FedSZ up (s)", "raw both (s)"});
-    benchx::JsonValue bidi_json = benchx::JsonValue::array();
+    util::JsonValue bidi_json = util::JsonValue::array();
     for (double mbps = 1.0; mbps <= max_mbps; mbps *= 4.0) {
       const net::SimulatedNetwork network({mbps, 0.0});
       const double fedsz_leg =
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
       bidi.add_row({benchx::fmt(mbps, 0), benchx::fmt(2.0 * fedsz_leg, 3),
                     benchx::fmt(raw_leg + fedsz_leg, 3),
                     benchx::fmt(2.0 * raw_leg, 3)});
-      bidi_json.push(benchx::JsonValue::object()
+      bidi_json.push(util::JsonValue::object()
                          .set("bandwidth_mbps", mbps)
                          .set("fedsz_both_seconds", 2.0 * fedsz_leg)
                          .set("raw_down_fedsz_up_seconds",
@@ -124,12 +124,12 @@ int main(int argc, char** argv) {
       "500 Mbps, with SZ2 best at the low end; above the crossover the raw\n"
       "transfer is faster than compress+send+decompress.\n");
   if (!options.json_path.empty()) {
-    benchx::JsonValue json = benchx::JsonValue::object();
+    util::JsonValue json = util::JsonValue::object();
     json.set("bench", "fig8_bandwidth")
         .set("raw_bytes", raw_bytes)
         .set("sweep", std::move(sweep_json))
         .set("bidirectional_sweep", std::move(bidi_sweep));
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

@@ -64,7 +64,7 @@ RunTimes run_federation(std::size_t clients, std::size_t threads, int rounds,
   config.evaluate_every_round = false;
   if (hier_fanout > 0) {
     config.topology.mode = core::TopologyMode::kHier;
-    config.topology.fanout = hier_fanout;
+    config.topology.tiers = {hier_fanout};
     config.topology.backhaul_spec = backhaul_spec;
   }
   core::FlCoordinator coordinator(
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
     return options.codec.empty() ? core::make_fedsz_codec()
                                  : core::make_codec(options.codec);
   };
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "fig9_scaling")
       .set("bandwidth_mbps", mbps)
       .set("rounds", rounds)
@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
       full ? "" : "; FEDSZ_BENCH_FULL=1 extends to 128 workers");
 
   std::printf("(a) Weak scaling: one client per worker, 64 samples each\n");
-  benchx::JsonValue weak_json = benchx::JsonValue::array();
+  util::JsonValue weak_json = util::JsonValue::array();
   benchx::Table weak({"Workers", "FedSZ round (s)", "Uncompressed round (s)",
                       "FedSZ advantage"});
   const std::size_t weak_samples = options.smoke ? 16 : 64;
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
                                   fedsz_times.round_seconds,
                               2) +
                       "x"});
-    weak_json.push(benchx::JsonValue::object()
+    weak_json.push(util::JsonValue::object()
                        .set("workers", workers)
                        .set("fedsz_round_s", fedsz_times.round_seconds)
                        .set("raw_round_s", raw_times.round_seconds)
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
                           : (options.smoke ? 8 : (full ? 127 : 16));
   std::printf("\n(b) Strong scaling: %zu clients total, workers 2..%zu\n",
               population, max_workers);
-  benchx::JsonValue strong_json = benchx::JsonValue::array();
+  util::JsonValue strong_json = util::JsonValue::array();
   benchx::Table strong({"Workers", "FedSZ round (s)",
                         "Uncompressed round (s)", "Speedup vs 2 workers"});
   const std::size_t strong_samples = options.smoke ? 8 : 16;
@@ -178,7 +178,7 @@ int main(int argc, char** argv) {
                     benchx::fmt(raw_times.round_seconds, 2),
                     benchx::fmt(fedsz_base / fedsz_times.round_seconds, 2) +
                         "x"});
-    strong_json.push(benchx::JsonValue::object()
+    strong_json.push(util::JsonValue::object()
                          .set("workers", workers)
                          .set("fedsz_round_s", fedsz_times.round_seconds)
                          .set("raw_round_s", raw_times.round_seconds));
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       "tier,\n    slow tier @ %.0f Mbps, FedSZ): virtual time to %d "
       "aggregation(s)\n",
       population, mbps, rounds);
-  benchx::JsonValue sched_json = benchx::JsonValue::array();
+  util::JsonValue sched_json = util::JsonValue::array();
   benchx::Table sched({"Scheduler", "Virtual time (s)", "Bytes",
                        "Final accuracy"});
   struct Policy {
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
     sched.add_row({policy.label, benchx::fmt(times.virtual_seconds, 2),
                    benchx::fmt_bytes(times.bytes_sent),
                    benchx::fmt(times.final_accuracy * 100.0, 1) + "%"});
-    sched_json.push(benchx::JsonValue::object()
+    sched_json.push(util::JsonValue::object()
                         .set("scheduler", policy.label)
                         .set("virtual_seconds", times.virtual_seconds)
                         .set("bytes", times.bytes_sent)
@@ -231,7 +231,7 @@ int main(int argc, char** argv) {
       "\n(d) Flat vs hierarchical topology (%zu clients, FedSZ uplink):\n"
       "    root-link ingress per run\n",
       population);
-  benchx::JsonValue topo_json = benchx::JsonValue::array();
+  util::JsonValue topo_json = util::JsonValue::array();
   benchx::Table topo({"Topology", "Backhaul", "Root ingress", "Uplink bytes",
                       "Virtual time (s)"});
   struct TopoCase {
@@ -255,7 +255,7 @@ int main(int argc, char** argv) {
                   benchx::fmt_bytes(times.root_bytes),
                   benchx::fmt_bytes(times.bytes_sent),
                   benchx::fmt(times.virtual_seconds, 2)});
-    topo_json.push(benchx::JsonValue::object()
+    topo_json.push(util::JsonValue::object()
                        .set("topology", label)
                        .set("backhaul", tc.backhaul)
                        .set("root_ingress_bytes", times.root_bytes)
@@ -276,7 +276,7 @@ int main(int argc, char** argv) {
       "hierarchical, shrinking again under a lossy backhaul bound.\n");
 
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
     return options.codec.empty() ? core::make_fedsz_codec()
                                  : core::make_codec(options.codec);
   };
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "hierarchy")
       .set("bandwidth_mbps", mbps)
       .set("rounds", rounds)
@@ -152,7 +152,7 @@ int main(int argc, char** argv) {
       "Mbps)\n\n");
 
   bool peak_ok = true;
-  benchx::JsonValue runs = benchx::JsonValue::array();
+  util::JsonValue runs = util::JsonValue::array();
   benchx::Table table({"Clients", "Topology", "Backhaul", "Edges",
                        "Uplink bytes", "Root ingress", "Max peak/node",
                        "Virtual (s)"});
@@ -182,7 +182,7 @@ int main(int argc, char** argv) {
     const std::string run_name = std::to_string(clients) + "c/" +
                                  tiers_label(tiers) + "/" +
                                  (backhaul.empty() ? "identity" : backhaul);
-    runs.push(benchx::JsonValue::object()
+    runs.push(util::JsonValue::object()
                   .set("name", run_name)
                   .set("clients", clients)
                   .set("topology", tiers_label(tiers))
@@ -252,7 +252,7 @@ int main(int argc, char** argv) {
       "O(fanout) is a loose upper bound.\n");
 
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   if (!options.trace_path.empty()) {

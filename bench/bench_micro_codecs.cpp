@@ -171,14 +171,14 @@ int main(int argc, char** argv) {
   table.print();
 
   if (!options.json_path.empty()) {
-    benchx::JsonValue json = benchx::JsonValue::object();
+    util::JsonValue json = util::JsonValue::object();
     json.set("bench", "micro_codecs")
         .set("smoke", options.smoke)
         .set("seed", static_cast<std::size_t>(seed))
         .set("reps", reps);
-    benchx::JsonValue runs = benchx::JsonValue::array();
+    util::JsonValue runs = util::JsonValue::array();
     for (const MicroResult& r : results) {
-      benchx::JsonValue run = benchx::JsonValue::object();
+      util::JsonValue run = util::JsonValue::object();
       run.set("name", r.name)
           .set("kind", r.kind)
           .set("compress_mb_s", r.compress_mb_s)
@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
       runs.push(std::move(run));
     }
     json.set("runs", std::move(runs));
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

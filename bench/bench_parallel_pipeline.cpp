@@ -67,7 +67,7 @@ PipelineTiming measure(const StateDict& dict, std::size_t parallelism,
 }
 
 void bench_model(const std::string& arch, int repetitions,
-                 benchx::JsonValue* runs) {
+                 util::JsonValue* runs) {
   const StateDict dict = benchx::trained_state_dict(arch, "cifar10");
   const double mb = static_cast<double>(dict.total_bytes()) / 1e6;
   std::printf("\n%s: %zu tensors, %.2f MB\n", arch.c_str(), dict.size(), mb);
@@ -79,7 +79,7 @@ void bench_model(const std::string& arch, int repetitions,
   const auto emit_run = [&](std::size_t threads, const PipelineTiming& t,
                             bool identical) {
     if (runs == nullptr) return;
-    benchx::JsonValue run = benchx::JsonValue::object();
+    util::JsonValue run = util::JsonValue::object();
     run.set("name", arch + "/threads=" + std::to_string(threads))
         .set("arch", arch)
         .set("threads", threads)
@@ -130,17 +130,17 @@ int main(int argc, char** argv) {
   std::printf("hw threads on this machine: %zu\n",
               ThreadPool::hardware_threads());
   const int repetitions = options.smoke ? 2 : (benchx::full_grid() ? 5 : 3);
-  benchx::JsonValue runs = benchx::JsonValue::array();
+  util::JsonValue runs = util::JsonValue::array();
   for (const std::string& arch : nn::model_architectures())
     bench_model(arch, repetitions,
                 options.json_path.empty() ? nullptr : &runs);
   if (!options.json_path.empty()) {
-    benchx::JsonValue json = benchx::JsonValue::object();
+    util::JsonValue json = util::JsonValue::object();
     json.set("bench", "parallel_pipeline")
         .set("smoke", options.smoke)
         .set("reps", repetitions)
         .set("runs", std::move(runs));
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   return 0;

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     return options.codec.empty() ? core::make_fedsz_codec()
                                  : core::make_codec(options.codec);
   };
-  benchx::JsonValue json = benchx::JsonValue::object();
+  util::JsonValue json = util::JsonValue::object();
   json.set("bench", "population")
       .set("bandwidth_mbps", mbps)
       .set("rounds", rounds)
@@ -139,7 +139,7 @@ int main(int argc, char** argv) {
       "links)\n\n",
       rounds, clients);
 
-  benchx::JsonValue runs = benchx::JsonValue::array();
+  util::JsonValue runs = util::JsonValue::array();
   benchx::Table table({"Population", "Topology", "Eligible", "Ineligible",
                        "Participants", "Uplink bytes", "Virtual (s)"});
   core::FlRunResult traced;  // the last grid entry's full result (--trace)
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
                    benchx::fmt_bytes(run.uplink_bytes),
                    benchx::fmt(run.virtual_seconds, 2)});
     // Unique per grid entry — compare_baselines.py matches runs by name.
-    runs.push(benchx::JsonValue::object()
+    runs.push(util::JsonValue::object()
                   .set("name", pop_label + "/" + topology_label(fanout))
                   .set("population", pop_label)
                   .set("topology", topology_label(fanout))
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       "clock deterministic — the committed baseline gates them exactly.\n");
 
   if (!options.json_path.empty()) {
-    benchx::write_json(options.json_path, json);
+    util::write_json(options.json_path, json);
     std::printf("\nwrote %s\n", options.json_path.c_str());
   }
   if (!options.trace_path.empty()) {

@@ -78,12 +78,6 @@ struct BenchOptions {
 /// malformed values; exits(0) on --help.
 BenchOptions parse_bench_options(int argc, char** argv);
 
-/// The JSON emitter now lives in the library (util/json.hpp) where it is
-/// unit-tested; these aliases keep every bench's benchx::JsonValue spelling
-/// working unchanged.
-using util::JsonValue;
-using util::write_json;
-
 /// Train a bench-scale model for `epochs` passes over `samples` synthetic
 /// samples and return its state dict. Results are cached under
 /// ./bench_cache/ so repeated bench binaries do not retrain.

@@ -179,7 +179,10 @@ std::uint32_t run_fingerprint(const FlRunConfig& config,
   out.put_u8(static_cast<std::uint8_t>(t.mode));
   out.put_varint(t.tiers.size());
   for (const std::size_t fan : t.tiers) out.put_varint(fan);
-  out.put_varint(t.fanout);
+  // Formerly the deprecated single-tier `fanout` field, which spec-built
+  // configs always left 0; the constant keeps fingerprints (and so
+  // checkpoints written before its removal) unchanged.
+  out.put_varint(0);
   out.put_string(t.backhaul_spec);
   out.put_varint(t.tier_backhaul_specs.size());
   for (const std::string& spec : t.tier_backhaul_specs) out.put_string(spec);

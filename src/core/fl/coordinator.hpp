@@ -20,11 +20,15 @@
 // client arrivals fold at their EDGE aggregator instead of the root; once
 // an edge's cohort goal is met it finalizes a weight-carrying partial mean,
 // re-encodes it through its backhaul codec spec, and a new edge-arrival
-// event delivers it over the edge's own backhaul link; the root merges
-// partials and aggregates when every edge reported. Downlink broadcasts
+// event delivers it over the edge's own backhaul link. Downlink broadcasts
 // fan out the other way (root->edge->client), charged per hop. A
 // distributed run's root is this same pump with every tier-1 edge in a
 // worker process (RemoteEdges, core/fl/federation.hpp).
+//
+// Each run() builds one pump object: the run's state plus one member
+// function per round stage. The root is an aggregation node one level above
+// the top tier (on a flat run, the only one); it closes the round through
+// the same folded-/lost-child steps that make an edge ship or withdraw.
 #pragma once
 
 #include <optional>
@@ -391,6 +395,9 @@ class FlCoordinator {
                 data::DatasetPtr test, FlRunConfig config,
                 UpdateCodecPtr codec, SchedulerPtr scheduler,
                 RemoteEdges* remote);
+
+  // One run()'s event pump: its state and its event handlers.
+  struct Pump;
 
   nn::ModelConfig model_config_;
   data::DatasetPtr test_;

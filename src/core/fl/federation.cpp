@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -641,6 +642,32 @@ struct FederatedRoot::Impl final : RemoteEdges {
     return true;
   }
 
+  /// Throws CorruptStream naming the first field of edge `e`'s cohort-
+  /// matched `report` the root cannot trust: a leaf count other than the
+  /// cohort size, a compute budget that is not finite and >= 0, or a weight
+  /// other than the updates' summed samples (exact: barrier weights are
+  /// integer sample counts).
+  void check_partial(std::size_t e, const EdgeReport& report) const {
+    const std::string from = "federation: PARTIAL from edge " +
+                             std::to_string(e) + " reports ";
+    const EncodedPartial& partial = report.partial;
+    if (partial.clients != cohorts[e].size())
+      throw CorruptStream(from + "clients=" + std::to_string(partial.clients) +
+                          " for a cohort of " +
+                          std::to_string(cohorts[e].size()));
+    std::size_t samples = 0;
+    for (const ReportedUpdate& update : report.updates) {
+      if (!std::isfinite(update.compute_seconds) ||
+          update.compute_seconds < 0.0)
+        throw CorruptStream(from + "compute_seconds=" +
+                            std::to_string(update.compute_seconds));
+      samples += update.delivery.samples;
+    }
+    if (partial.weight != static_cast<double>(samples))
+      throw CorruptStream(from + "weight=" + std::to_string(partial.weight) +
+                          " for " + std::to_string(samples) + " samples");
+  }
+
   void receive(InboxEvent event) {
     const std::size_t e = event.edge;
     if (dead[e]) return;  // whatever it queued before dying changes nothing
@@ -662,6 +689,7 @@ struct FederatedRoot::Impl final : RemoteEdges {
     if (!matches_cohort(e, msg.report))
       throw CorruptStream("federation: PARTIAL from edge " +
                           std::to_string(e) + " does not match its cohort");
+    check_partial(e, msg.report);
     reports[e] = std::move(msg.report);
     waiting[e] = 0;
   }
@@ -732,7 +760,7 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
     : impl_(std::make_unique<Impl>()) {
   config.validate();
   if (config.topology.mode != TopologyMode::kHier ||
-      config.topology.resolved_tiers().size() != 1)
+      config.topology.tiers.size() != 1)
     throw InvalidArgument(
         "FederatedRoot: distributed runs need a single-tier hierarchy "
         "(topology=hier:<N>) -- one worker process per tier-1 edge");

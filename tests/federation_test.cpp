@@ -369,14 +369,14 @@ TEST(FederationTest, DeathBeforeAckIsFatal) {
 }
 
 // A hand-rolled edge worker: it ACKs the handshake, then answers every
-// ROUND_OPEN with a PARTIAL that lists the clients `report` makes of the
-// cohort it was sent (nothing trained, an empty partial). It exits when the
-// root hangs up.
-using CohortReport =
-    std::function<std::vector<std::size_t>(std::vector<std::size_t>)>;
+// ROUND_OPEN with an honest PARTIAL for the cohort it was sent (each client
+// reports 2 samples, the partial carries their summed weight and one leaf
+// per client, nothing trained, an empty payload) after `lie` edits it. It
+// exits when the root hangs up.
+using PartialLie = std::function<void(PartialMsg&)>;
 
-std::jthread start_crafted_worker(net::StreamPtr stream, CohortReport report) {
-  return std::jthread([stream = std::move(stream), report]() mutable {
+std::jthread start_crafted_worker(net::StreamPtr stream, PartialLie lie) {
+  return std::jthread([stream = std::move(stream), lie]() mutable {
     net::FrameChannel chan(std::move(stream));
     try {
       const auto hello = chan.recv();
@@ -394,11 +394,15 @@ std::jthread start_crafted_worker(net::StreamPtr stream, CohortReport report) {
         PartialMsg msg;
         msg.round = static_cast<int>(in.get_varint());
         (void)in.get_f64();  // virtual open time
-        std::vector<std::size_t> cohort(in.get_varint());
-        for (std::size_t& client : cohort)
-          client = static_cast<std::size_t>(in.get_varint());
-        for (const std::size_t client : report(cohort))
-          msg.report.updates.emplace_back().delivery.client = client;
+        const std::size_t cohort = in.get_varint();
+        for (std::size_t k = 0; k < cohort; ++k) {
+          ClientDelivery& delivery = msg.report.updates.emplace_back().delivery;
+          delivery.client = static_cast<std::size_t>(in.get_varint());
+          delivery.samples = 2;
+          msg.report.partial.weight += 2.0;
+        }
+        msg.report.partial.clients = cohort;
+        lie(msg);
         const Bytes body = serialize_partial(msg);
         chan.send(net::FrameType::kPartial, {body.data(), body.size()});
       }
@@ -410,46 +414,57 @@ std::jthread start_crafted_worker(net::StreamPtr stream, CohortReport report) {
 
 // The root matches a PARTIAL's deliveries to the cohort it sent that edge
 // by client id: a missing, duplicated or foreign client is corrupt input.
+// So is a cohort-matched PARTIAL whose leaf count, weight or compute budget
+// could not have come from that cohort.
 TEST(FederationTest, PartialOutsideItsCohortIsCorrupt) {
   const CodecSpec spec = parse_codec_spec(kSpec);
   auto [train, test] = data::make_dataset("cifar10", 7);
   (void)train;
-  const std::vector<std::pair<const char*, CohortReport>> cases = {
-      {"missing",
-       [](std::vector<std::size_t> cohort) {
-         cohort.pop_back();
-         return cohort;
-       }},
-      {"duplicated",
-       [](std::vector<std::size_t> cohort) {
-         cohort.back() = cohort.front();
-         return cohort;
-       }},
-      {"foreign",  // client 0 belongs to edge 0
-       [](std::vector<std::size_t> cohort) {
-         cohort.back() = 0;
-         return cohort;
-       }},
+  struct Case {
+    const char* name;
+    PartialLie lie;
+    const char* error;  // what the root's CorruptStream must name
   };
-  for (const auto& [name, misreport] : cases) {
-    SCOPED_TRACE(name);
+  const std::vector<Case> cases = {
+      {"missing", [](PartialMsg& msg) { msg.report.updates.pop_back(); },
+       "does not match its cohort"},
+      {"duplicated",
+       [](PartialMsg& msg) {
+         msg.report.updates.back().delivery.client =
+             msg.report.updates.front().delivery.client;
+       },
+       "does not match its cohort"},
+      {"foreign",  // client 0 belongs to edge 0
+       [](PartialMsg& msg) { msg.report.updates.back().delivery.client = 0; },
+       "does not match its cohort"},
+      {"wrong weight",
+       [](PartialMsg& msg) { msg.report.partial.weight += 1.0; }, "weight="},
+      {"wrong leaf count",
+       [](PartialMsg& msg) { ++msg.report.partial.clients; }, "clients="},
+      {"negative compute budget",
+       [](PartialMsg& msg) {
+         msg.report.updates.front().compute_seconds = -1.0;
+       },
+       "compute_seconds="},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
                        data::take(test, 256), base_config(spec), spec);
     ASSERT_EQ(root.edge_count(), 2u);
     auto [root0, worker0] = net::make_loopback_pair();
     auto [root1, worker1] = net::make_loopback_pair();
-    std::jthread honest = start_crafted_worker(
-        std::move(worker0), [](std::vector<std::size_t> c) { return c; });
-    std::jthread liar = start_crafted_worker(std::move(worker1), misreport);
+    std::jthread honest =
+        start_crafted_worker(std::move(worker0), [](PartialMsg&) {});
+    std::jthread liar = start_crafted_worker(std::move(worker1), c.lie);
     std::vector<net::StreamPtr> streams;
     streams.push_back(std::move(root0));
     streams.push_back(std::move(root1));
     try {
       root.run_with_streams(std::move(streams));
-      ADD_FAILURE() << "the root accepted a PARTIAL outside its cohort";
+      ADD_FAILURE() << "the root accepted a lying PARTIAL";
     } catch (const CorruptStream& error) {
-      EXPECT_NE(std::string(error.what()).find("does not match its cohort"),
-                std::string::npos)
+      EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
           << error.what();
     }
   }

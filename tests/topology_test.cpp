@@ -1,6 +1,6 @@
 // Tests for the hierarchical federation topology: client sharding,
 // partial-aggregate exactness, the flat-equivalence regression pin
-// (hier + identity backhaul + fanout == clients must reproduce the flat
+// (hier + identity backhaul + tiers == {clients} must reproduce the flat
 // SyncScheduler trajectory exactly), determinism across thread counts,
 // per-tier byte accounting, per-node decoded-update peaks, and the
 // degenerate-config rejections.
@@ -39,10 +39,9 @@ TEST(ShardClientsTest, ContiguousShardsCoverEveryClient) {
 TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
   TopologyConfig config;
   EXPECT_NO_THROW(config.validate());  // flat default
-  config.mode = TopologyMode::kHier;
-  config.fanout = 0;  // hier without a fanout
+  config.mode = TopologyMode::kHier;  // hier without tiers
   EXPECT_THROW(config.validate(), InvalidArgument);
-  config.fanout = 4;
+  config.tiers = {4};
   EXPECT_NO_THROW(config.validate());
   config.backhaul_spec = "fedsz:eb=rel:1e-3";
   EXPECT_NO_THROW(config.validate());
@@ -52,7 +51,7 @@ TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
   EXPECT_THROW(config.validate(), InvalidArgument);
   // Flat runs silently dropping hier-only options would mask mistakes.
   config = TopologyConfig{};
-  config.fanout = 4;
+  config.tiers = {4};
   EXPECT_THROW(config.validate(), InvalidArgument);
   config = TopologyConfig{};
   config.backhaul_spec = "identity";
@@ -72,18 +71,8 @@ TEST(TopologyConfigTest, ValidateRejectsDegenerateSpecs) {
 TEST(TopologyConfigTest, ValidateRejectsDegenerateTierVectors) {
   TopologyConfig config;
   config.mode = TopologyMode::kHier;
-  // fanout is one-tier sugar; spelling out BOTH is ambiguous.
-  config.fanout = 4;
   config.tiers = {8};
-  EXPECT_THROW(config.validate(), InvalidArgument);
-  config.fanout = 0;
   EXPECT_NO_THROW(config.validate());
-  EXPECT_EQ(config.resolved_tiers(), std::vector<std::size_t>{8});
-  // Sugar resolves exactly like the one-entry vector.
-  TopologyConfig sugar;
-  sugar.mode = TopologyMode::kHier;
-  sugar.fanout = 8;
-  EXPECT_EQ(sugar.resolved_tiers(), std::vector<std::size_t>{8});
   // Zero fan-ins are degenerate at any depth.
   config.tiers = {8, 0};
   EXPECT_THROW(config.validate(), InvalidArgument);
@@ -114,7 +103,6 @@ TEST(TopologyConfigTest, FlRunConfigValidateAndCommSpecRoundTrip) {
       parse_codec_spec("fedsz:topology=hier:8,backhaul=fedsz:eb=rel:1e-3"));
   EXPECT_EQ(config.topology.mode, TopologyMode::kHier);
   EXPECT_EQ(config.topology.tiers, std::vector<std::size_t>{8});
-  EXPECT_EQ(config.topology.fanout, 0u);  // the grammar resolves to tiers
   EXPECT_EQ(parse_codec_spec(config.topology.backhaul_spec).bound.value,
             1e-3);
   EXPECT_NO_THROW(config.validate());
@@ -145,16 +133,16 @@ TEST(TopologyConfigTest, FlRunConfigValidateAndCommSpecRoundTrip) {
 TEST(AggregationTreeTest, OwnershipAndConstructionGuards) {
   TopologyConfig config;
   config.mode = TopologyMode::kHier;
-  config.fanout = 3;
+  config.tiers = {3};
   const AggregationTree tree(config, 7);
   EXPECT_EQ(tree.edge_count(), 3u);
-  EXPECT_EQ(tree.edge_of(0), 0u);
-  EXPECT_EQ(tree.edge_of(2), 0u);
-  EXPECT_EQ(tree.edge_of(3), 1u);
-  EXPECT_EQ(tree.edge_of(6), 2u);
-  EXPECT_THROW(tree.edge_of(7), InvalidArgument);
-  EXPECT_EQ(tree.edge(2).members().size(), 1u);
-  EXPECT_THROW(tree.edge(3), InvalidArgument);
+  const auto& shards = tree.base_shards();
+  ASSERT_EQ(shards.size(), 3u);
+  EXPECT_EQ(shards[0], (std::vector<std::size_t>{0, 1, 2}));
+  EXPECT_EQ(shards[1], (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(shards[2], std::vector<std::size_t>{6});
+  EXPECT_EQ(tree.node(0, 2).members().size(), 1u);
+  EXPECT_THROW(tree.node(0, 3), InvalidArgument);
   // Flat configs cannot build a tree, and zero clients cannot shard.
   EXPECT_THROW(AggregationTree(TopologyConfig{}, 4), InvalidArgument);
   EXPECT_THROW(AggregationTree(config, 0), InvalidArgument);
@@ -210,8 +198,16 @@ TEST(AggregationTreeTest, MultiTierShapeParentsAndFlatIndexing) {
             (std::vector<std::size_t>{0, 1, 2}));
   EXPECT_EQ(tree.node(1, 1).members(), (std::vector<std::size_t>{3, 4, 5}));
   EXPECT_EQ(tree.node(2, 0).tier(), 3u);
-  // The short tail still lands somewhere: every client has an owner.
-  for (std::size_t i = 0; i < 23; ++i) EXPECT_LT(tree.edge_of(i), 6u);
+  // The short tail still lands somewhere: every client has exactly one
+  // owner among the six tier-1 edges.
+  ASSERT_EQ(tree.base_shards().size(), 6u);
+  std::vector<std::size_t> owners(23, 0);
+  for (const std::vector<std::size_t>& shard : tree.base_shards())
+    for (const std::size_t i : shard) {
+      ASSERT_LT(i, owners.size());
+      ++owners[i];
+    }
+  for (std::size_t i = 0; i < 23; ++i) EXPECT_EQ(owners[i], 1u) << i;
 }
 
 TEST(PartialAggregateTest, MergedPartialsReproduceTheFlatWeightedMean) {
@@ -290,7 +286,7 @@ TEST(PartialAggregateTest, AggregatorPartialPathAndZeroWeight) {
 
 // ---- coordinator runs ----
 
-FlRunConfig hier_config(std::size_t clients, int rounds, std::size_t fanout,
+FlRunConfig hier_config(std::size_t clients, int rounds, std::size_t fan_in,
                         const std::string& backhaul,
                         std::size_t threads = 2) {
   FlRunConfig config;
@@ -301,7 +297,7 @@ FlRunConfig hier_config(std::size_t clients, int rounds, std::size_t fanout,
   config.seed = 123;
   config.client.batch_size = 16;
   config.topology.mode = TopologyMode::kHier;
-  config.topology.fanout = fanout;
+  config.topology.tiers = {fan_in};
   config.topology.backhaul_spec = backhaul;
   return config;
 }
@@ -324,7 +320,7 @@ TEST(TopologyCoordinatorTest, IdentityBackhaulFanoutNReproducesFlatExactly) {
   // One edge folding everyone, identity backhaul: the partial crosses the
   // backhaul bit-exactly and merges bit-exactly, so the accuracy/byte
   // trajectory must match the flat run EXACTLY, round for round.
-  FlRunConfig hier = hier_config(3, 3, /*fanout=*/3, "identity", 3);
+  FlRunConfig hier = hier_config(3, 3, /*fan_in=*/3, "identity", 3);
   FlCoordinator hier_coordinator(tiny_model(), data::take(train, 96),
                                  data::take(test, 64), hier, codec);
   const FlRunResult hier_result = hier_coordinator.run();
@@ -354,7 +350,7 @@ TEST(TopologyCoordinatorTest, DeterministicAndByteIdenticalAcrossThreads) {
   auto [train, test] = data::make_dataset("cifar10");
   auto run_once = [&](std::size_t threads) {
     FlRunConfig config =
-        hier_config(8, 2, /*fanout=*/3, "fedsz:eb=rel:1e-2", threads);
+        hier_config(8, 2, /*fan_in=*/3, "fedsz:eb=rel:1e-2", threads);
     config.downlink_spec = "fedsz:eb=rel:1e-3";
     config.evaluate_every_round = false;
     FlCoordinator coordinator(tiny_model(), data::take(train, 64),
@@ -392,7 +388,7 @@ TEST(TopologyCoordinatorTest, DeterministicAndByteIdenticalAcrossThreads) {
 
 TEST(TopologyCoordinatorTest, PerTierByteAccountingSumsToRecordTotals) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(6, 2, /*fanout=*/2, "fedsz:eb=rel:1e-2");
+  FlRunConfig config = hier_config(6, 2, /*fan_in=*/2, "fedsz:eb=rel:1e-2");
   config.downlink_spec = "fedsz:eb=rel:1e-3";
   FlCoordinator coordinator(tiny_model(), data::take(train, 48),
                             data::take(test, 32), config,
@@ -434,7 +430,7 @@ TEST(TopologyCoordinatorTest, PerTierByteAccountingSumsToRecordTotals) {
 
 TEST(TopologyCoordinatorTest, StreamingKeepsEveryNodeAtOneDecodedUpdate) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(8, 1, /*fanout=*/4, "");
+  FlRunConfig config = hier_config(8, 1, /*fan_in=*/4, "");
   config.client.batch_size = 2;
   config.eval_limit = 16;
   config.threads = 4;
@@ -445,14 +441,14 @@ TEST(TopologyCoordinatorTest, StreamingKeepsEveryNodeAtOneDecodedUpdate) {
   ASSERT_EQ(result.peak_decoded_per_node.size(), 3u);  // root + 2 edges
   for (const std::size_t peak : result.peak_decoded_per_node) {
     EXPECT_EQ(peak, 1u);
-    EXPECT_LE(peak, config.topology.fanout);
+    EXPECT_LE(peak, config.topology.tiers[0]);
   }
   EXPECT_EQ(result.peak_decoded_updates, 1u);
 }
 
 TEST(TopologyCoordinatorTest, SampledSchedulerDrawsPerEdgeCohort) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(8, 2, /*fanout=*/4, "");
+  FlRunConfig config = hier_config(8, 2, /*fan_in=*/4, "");
   config.client.batch_size = 2;
   config.eval_limit = 16;
   config.evaluate_every_round = false;
@@ -540,7 +536,7 @@ TEST(TopologyCoordinatorTest, FailureFreeChainReproducesFlatExactly) {
 
 TEST(ChurnCoordinatorTest, DropoutConservesAggregateWeight) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(6, 2, /*fanout=*/3, "");
+  FlRunConfig config = hier_config(6, 2, /*fan_in=*/3, "");
   config.evaluate_every_round = false;
   config.eval_limit = 16;
   config.client.batch_size = 2;
@@ -576,58 +572,64 @@ TEST(ChurnCoordinatorTest, DropoutConservesAggregateWeight) {
   EXPECT_GT(dropped, 0u);  // rate 0.4 over 12 dispatches, pinned seed
 }
 
+// Run once per topology: flat, where the deadline force-closes the root
+// itself, and hier:3, where it force-ships the tier-1 edges.
 TEST(ChurnCoordinatorTest, StragglerDeadlineEvictsAndStillClosesRounds) {
   auto [train, test] = data::make_dataset("cifar10");
-  auto base = [] {
-    FlRunConfig config = hier_config(6, 2, /*fanout=*/3, "");
-    config.evaluate_every_round = false;
-    config.eval_limit = 16;
-    config.client.batch_size = 2;
-    config.compute_jitter = 0.5;  // spread arrivals so a deadline can split
-    return config;
-  };
-  auto run = [&](const FlRunConfig& config) {
-    FlCoordinator coordinator(tiny_model(), data::take(train, 24),
-                              data::take(test, 16), config,
-                              make_identity_codec());
-    return coordinator.run();
-  };
-  // Reference run to place the deadline strictly between the 3rd and 4th
-  // round-0 arrivals — the draws are seed-deterministic, so the churn run
-  // repeats them and exactly three clients straggle past the deadline.
-  const FlRunResult reference = run(base());
-  std::vector<double> arrivals;
-  for (const ClientTraceEntry& entry : reference.rounds[0].clients)
-    arrivals.push_back(entry.arrival_seconds);
-  std::sort(arrivals.begin(), arrivals.end());
-  ASSERT_EQ(arrivals.size(), 6u);
-  ASSERT_LT(arrivals[2], arrivals[3]);
-  FlRunConfig config = base();
-  config.failures.straggler_deadline_seconds =
-      0.5 * (arrivals[2] + arrivals[3]);
-  const FlRunResult result = run(config);
-  ASSERT_EQ(result.rounds.size(), 2u);  // eviction never wedges the pump
-  std::size_t evicted_round0 = 0;
-  double aggregated = 0.0;
-  for (const ClientTraceEntry& entry : result.rounds[0].clients) {
-    if (entry.status == DeliveryStatus::kEvicted) {
-      EXPECT_EQ(entry.weight, 0.0);
-      EXPECT_EQ(entry.payload_bytes, 0u);
-      ++evicted_round0;
-    } else if (entry.status == DeliveryStatus::kAggregated) {
-      aggregated += entry.weight;
+  for (const bool hier : {false, true}) {
+    SCOPED_TRACE(hier ? "hier:3" : "flat");
+    auto base = [hier] {
+      FlRunConfig config = hier_config(6, 2, /*fan_in=*/3, "");
+      if (!hier) config.topology = TopologyConfig{};
+      config.evaluate_every_round = false;
+      config.eval_limit = 16;
+      config.client.batch_size = 2;
+      config.compute_jitter = 0.5;  // spread arrivals so a deadline can split
+      return config;
+    };
+    auto run = [&](const FlRunConfig& config) {
+      FlCoordinator coordinator(tiny_model(), data::take(train, 24),
+                                data::take(test, 16), config,
+                                make_identity_codec());
+      return coordinator.run();
+    };
+    // Reference run to place the deadline strictly between the 3rd and 4th
+    // round-0 arrivals — the draws are seed-deterministic, so the churn run
+    // repeats them and exactly three clients straggle past the deadline.
+    const FlRunResult reference = run(base());
+    std::vector<double> arrivals;
+    for (const ClientTraceEntry& entry : reference.rounds[0].clients)
+      arrivals.push_back(entry.arrival_seconds);
+    std::sort(arrivals.begin(), arrivals.end());
+    ASSERT_EQ(arrivals.size(), 6u);
+    ASSERT_LT(arrivals[2], arrivals[3]);
+    FlRunConfig config = base();
+    config.failures.straggler_deadline_seconds =
+        0.5 * (arrivals[2] + arrivals[3]);
+    const FlRunResult result = run(config);
+    ASSERT_EQ(result.rounds.size(), 2u);  // eviction never wedges the pump
+    std::size_t evicted_round0 = 0;
+    double aggregated = 0.0;
+    for (const ClientTraceEntry& entry : result.rounds[0].clients) {
+      if (entry.status == DeliveryStatus::kEvicted) {
+        EXPECT_EQ(entry.weight, 0.0);
+        EXPECT_EQ(entry.payload_bytes, 0u);
+        ++evicted_round0;
+      } else if (entry.status == DeliveryStatus::kAggregated) {
+        aggregated += entry.weight;
+      }
     }
+    EXPECT_EQ(evicted_round0, 3u);
+    EXPECT_EQ(result.rounds[0].participants, 3u);
+    EXPECT_DOUBLE_EQ(result.rounds[0].aggregate_weight, aggregated);
+    // Later rounds keep running (evicted clients are redispatched).
+    EXPECT_EQ(result.rounds[1].clients.size(), 6u);
   }
-  EXPECT_EQ(evicted_round0, 3u);
-  EXPECT_EQ(result.rounds[0].participants, 3u);
-  EXPECT_DOUBLE_EQ(result.rounds[0].aggregate_weight, aggregated);
-  // Later rounds keep running (evicted clients are redispatched).
-  EXPECT_EQ(result.rounds[1].clients.size(), 6u);
 }
 
 TEST(ChurnCoordinatorTest, EdgeCrashReShardsCohortsToSurvivingSiblings) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(6, 3, /*fanout=*/2, "");
+  FlRunConfig config = hier_config(6, 3, /*fan_in=*/2, "");
   config.evaluate_every_round = false;
   config.eval_limit = 16;
   config.client.batch_size = 2;
@@ -664,7 +666,7 @@ TEST(ChurnCoordinatorTest, ChurnIsDeterministicAcrossThreadCounts) {
   auto [train, test] = data::make_dataset("cifar10");
   auto run_once = [&](std::size_t threads) {
     FlRunConfig config =
-        hier_config(8, 2, /*fanout=*/3, "fedsz:eb=rel:1e-2", threads);
+        hier_config(8, 2, /*fan_in=*/3, "fedsz:eb=rel:1e-2", threads);
     config.evaluate_every_round = false;
     config.eval_limit = 16;
     config.client.batch_size = 2;
@@ -729,7 +731,7 @@ TEST(ChurnCoordinatorTest, FailuresRequireABarrierScheduler) {
 
 TEST(TopologyCoordinatorTest, ContinuousSchedulerIsRejected) {
   auto [train, test] = data::make_dataset("cifar10");
-  FlRunConfig config = hier_config(4, 1, /*fanout=*/2, "");
+  FlRunConfig config = hier_config(4, 1, /*fan_in=*/2, "");
   EXPECT_THROW(FlCoordinator(tiny_model(), data::take(train, 16),
                              data::take(test, 16), config,
                              make_identity_codec(),
