@@ -1,8 +1,12 @@
 #include "core/fl/checkpoint.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "util/bytebuffer.hpp"
 #include "util/crc32.hpp"
@@ -11,57 +15,119 @@ namespace fedsz::core {
 
 namespace {
 
-void put_rng(ByteWriter& out, const Rng::State& s) {
-  for (int i = 0; i < 4; ++i) out.put_u64(s.words[i]);
-  out.put_f64(s.cached);
-  out.put_u8(s.has_cached ? 1 : 0);
+template <typename Stream, typename Io>
+void visit_rng(Stream& s, Io& io) {
+  for (auto& word : s.words) io.u64(word);
+  io.f64(s.cached);
+  io.flag(s.has_cached);
 }
 
-Rng::State get_rng(ByteReader& in) {
-  Rng::State s;
-  for (int i = 0; i < 4; ++i) s.words[i] = in.get_u64();
-  s.cached = in.get_f64();
-  const std::uint8_t flag = in.get_u8();
-  if (flag > 1) throw CorruptStream("checkpoint: bad RNG cache flag");
-  s.has_cached = flag == 1;
-  return s;
+template <typename State, typename Io>
+void visit_checkpoint(State& s, Io& io) {
+  io.varint(s.completed_rounds);
+  io.f64(s.virtual_now);
+  io.u64(s.clock_next_seq);
+  io.u32(s.config_fingerprint);
+  io.dict(s.global_state);
+  io.text(s.aggregator_name);
+  io.bytes(s.aggregator_state);
+  visit_rng(s.cohort_rng, io);
+  visit_rng(s.failure_rng, io);
+  visit_rng(s.eligibility_rng, io);
+  const auto dict = [&](auto& d) { io.dict(d); };
+  io.list(s.client_residuals, dict);
+  io.list(s.downlink_sessions, dict);
+  io.list(s.edge_residuals, dict);
 }
 
-void put_dicts(ByteWriter& out, const std::vector<StateDict>& dicts) {
-  out.put_varint(dicts.size());
-  for (const StateDict& dict : dicts) out.put_blob(dict.serialize());
+template <typename Profile, typename Io>
+void visit_profile(Profile& p, Io& io) {
+  io.f64(p.bandwidth_mbps);
+  io.f64(p.latency_s);
 }
 
-std::vector<StateDict> get_dicts(ByteReader& in) {
-  const std::uint64_t count = in.get_varint();
-  // Each entry costs at least a length byte; anything bigger than the
-  // remaining bytes is a corrupt count, not a huge valid section.
-  if (count > in.remaining())
-    throw CorruptStream("checkpoint: state-dict count exceeds the payload");
-  std::vector<StateDict> dicts;
-  dicts.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i)
-    dicts.push_back(StateDict::deserialize(in.get_blob_view()));
-  return dicts;
+template <typename Hetero, typename Io>
+void visit_heterogeneous(Hetero& h, Io& io) {
+  io.optional(h, [&](auto& c) {
+    io.choice(c.distribution, net::LinkDistribution::kTwoTier);
+    io.f64(c.edge_min_mbps);
+    io.f64(c.edge_max_mbps);
+    io.f64(c.wan_median_mbps);
+    io.f64(c.wan_log_sigma);
+    io.f64(c.two_tier_fast_fraction);
+    io.f64(c.two_tier_fast_mbps);
+    io.f64(c.two_tier_slow_mbps);
+    io.f64(c.latency_s);
+    io.u64(c.seed);
+  });
+}
+
+// The one list of trajectory-shaping fields (see put_run_config).
+template <typename Config, typename Io>
+void visit_run_config(Config& c, Io& io) {
+  io.u64(c.seed);
+  io.varint(c.clients);
+  io.f32(c.client.sgd.learning_rate);
+  io.f32(c.client.sgd.momentum);
+  io.f32(c.client.sgd.weight_decay);
+  io.varint(c.client.batch_size);
+  io.varint(c.client.local_epochs);
+  visit_profile(c.network, io);
+  visit_heterogeneous(c.heterogeneous, io);
+  io.varint(c.eval_limit);
+  io.flag(c.evaluate_every_round);
+  io.f64(c.compute_seconds_per_sample);
+  io.f64(c.compute_jitter);
+  io.text(c.downlink_spec);
+  io.choice(c.downlink_mode, DownlinkMode::kDelta);
+  io.flag(c.error_feedback);
+  auto& t = c.topology;
+  io.choice(t.mode, TopologyMode::kHier);
+  io.list(t.tiers, [&](auto& fan) { io.varint(fan); });
+  io.text(t.backhaul_spec);
+  io.list(t.tier_backhaul_specs, [&](auto& spec) { io.text(spec); });
+  visit_profile(t.backhaul_network, io);
+  visit_heterogeneous(t.backhaul_heterogeneous, io);
+  io.choice(t.edge_mode, EdgeMode::kBuffered);
+  io.varint(t.edge_buffer);
+  io.flag(t.edge_error_feedback);
+  io.choice(t.sharding, ShardStrategy::kShuffled);
+  io.u64(t.shard_seed);
+  io.f64(c.failures.dropout_rate);
+  io.f64(c.failures.edge_failure_rate);
+  io.f64(c.failures.straggler_deadline_seconds);
+  auto& p = c.population;
+  io.text(p.preset);
+  io.list(p.mix, [&](auto& share) {
+    io.text(share.name);
+    io.f64(share.weight);
+  });
+  io.choice(p.availability, AvailabilityMode::kAlways);
+  io.f64(p.flat_availability);
+  io.f64(p.period_seconds);
+  io.f64(p.phase_jitter);
+  io.f64(p.dropout_rate);
+  io.u64(p.seed);
+  io.f64(c.dirichlet_alpha);
+  io.f64(c.sizeskew_s);
+}
+
+template <typename Model, typename Io>
+void visit_model_config(Model& m, Io& io) {
+  io.text(m.arch);
+  io.varint(m.in_channels);
+  io.varint(m.image_size);
+  io.varint(m.num_classes);
+  io.choice(m.scale, nn::ModelScale::kPaper);
+  io.u64(m.seed);
 }
 
 }  // namespace
 
 Bytes serialize_checkpoint(const CheckpointState& state) {
   ByteWriter body;
-  body.put_varint(state.completed_rounds);
-  body.put_f64(state.virtual_now);
-  body.put_u64(state.clock_next_seq);
-  body.put_u32(state.config_fingerprint);
-  body.put_blob(state.global_state.serialize());
-  body.put_string(state.aggregator_name);
-  body.put_blob({state.aggregator_state.data(), state.aggregator_state.size()});
-  put_rng(body, state.cohort_rng);
-  put_rng(body, state.failure_rng);
-  put_rng(body, state.eligibility_rng);
-  put_dicts(body, state.client_residuals);
-  put_dicts(body, state.downlink_sessions);
-  put_dicts(body, state.edge_residuals);
+  FieldWriter put{body};
+  visit_checkpoint(state, put);
 
   ByteWriter out;
   out.reserve(body.size() + 16);
@@ -74,8 +140,10 @@ Bytes serialize_checkpoint(const CheckpointState& state) {
 }
 
 CheckpointState parse_checkpoint(ByteSpan bytes) {
-  ByteReader header(bytes);
-  try {
+  // Truncation inside ByteReader and shape errors inside
+  // StateDict::deserialize surface as one checkpoint-level failure.
+  return parse_or_corrupt("checkpoint: ", [&] {
+    ByteReader header(bytes);
     if (header.get_u32() != kCheckpointMagic)
       throw CorruptStream("checkpoint: bad magic");
     const std::uint8_t version = header.get_u8();
@@ -92,30 +160,12 @@ CheckpointState parse_checkpoint(ByteSpan bytes) {
 
     ByteReader in(body);
     CheckpointState state;
-    state.completed_rounds = in.get_varint();
-    state.virtual_now = in.get_f64();
-    state.clock_next_seq = in.get_u64();
-    state.config_fingerprint = in.get_u32();
-    state.global_state = StateDict::deserialize(in.get_blob_view());
-    state.aggregator_name = in.get_string();
-    const ByteSpan agg = in.get_blob_view();
-    state.aggregator_state.assign(agg.begin(), agg.end());
-    state.cohort_rng = get_rng(in);
-    state.failure_rng = get_rng(in);
-    state.eligibility_rng = get_rng(in);
-    state.client_residuals = get_dicts(in);
-    state.downlink_sessions = get_dicts(in);
-    state.edge_residuals = get_dicts(in);
+    FieldReader get{in, "checkpoint"};
+    visit_checkpoint(state, get);
     if (!in.done())
       throw CorruptStream("checkpoint: trailing bytes after the body");
     return state;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    // Truncation inside ByteReader and shape errors inside
-    // StateDict::deserialize surface as one checkpoint-level failure.
-    throw CorruptStream(std::string("checkpoint: ") + error.what());
-  }
+  });
 }
 
 void write_checkpoint(const std::string& path, const CheckpointState& state) {
@@ -126,9 +176,11 @@ void write_checkpoint(const std::string& path, const CheckpointState& state) {
     throw InvalidArgument("checkpoint: cannot open '" + tmp +
                           "': " + std::strerror(errno));
   const std::size_t written = std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fflush(file) == 0;
-  std::fclose(file);
-  if (written != bytes.size() || !flushed) {
+  // The data must be on disk before the rename publishes it, or a power
+  // loss could leave `path` naming a file whose blocks never landed.
+  const bool synced = std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+  const bool closed = std::fclose(file) == 0;
+  if (written != bytes.size() || !synced || !closed) {
     std::remove(tmp.c_str());
     throw InvalidArgument("checkpoint: short write to '" + tmp + "'");
   }
@@ -139,6 +191,17 @@ void write_checkpoint(const std::string& path, const CheckpointState& state) {
     throw InvalidArgument("checkpoint: cannot rename '" + tmp + "' to '" +
                           path + "': " + std::strerror(errno));
   }
+  // The rename lives in the directory; sync that too.
+  const std::filesystem::path parent =
+      std::filesystem::path(path).parent_path();
+  const std::string dir = parent.empty() ? "." : parent.string();
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  const bool dir_synced = fd >= 0 && ::fsync(fd) == 0;
+  const int error = errno;
+  if (fd >= 0) ::close(fd);
+  if (!dir_synced)
+    throw InvalidArgument("checkpoint: cannot sync directory '" + dir +
+                          "': " + std::strerror(error));
 }
 
 std::optional<CheckpointState> read_checkpoint(const std::string& path) {
@@ -156,117 +219,41 @@ std::optional<CheckpointState> read_checkpoint(const std::string& path) {
   return parse_checkpoint({bytes.data(), bytes.size()});
 }
 
+void put_run_config(ByteWriter& out, const FlRunConfig& config) {
+  FieldWriter put{out};
+  visit_run_config(config, put);
+}
+
+FlRunConfig get_run_config(ByteReader& in) {
+  // Truncation and validate()'s InvalidArgument alike: the bytes do not
+  // describe a run.
+  return parse_or_corrupt("run config: ", [&] {
+    FlRunConfig config;
+    FieldReader get{in, "run config"};
+    visit_run_config(config, get);
+    config.validate();
+    return config;
+  });
+}
+
+void put_model_config(ByteWriter& out, const nn::ModelConfig& model) {
+  FieldWriter put{out};
+  visit_model_config(model, put);
+}
+
+nn::ModelConfig get_model_config(ByteReader& in) {
+  nn::ModelConfig model;
+  FieldReader get{in, "model config"};
+  visit_model_config(model, get);
+  return model;
+}
+
 std::uint32_t run_fingerprint(const FlRunConfig& config,
                               const nn::ModelConfig& model) {
   ByteWriter out;
-  out.put_u64(config.seed);
-  out.put_varint(config.clients);
-  out.put_f32(config.client.sgd.learning_rate);
-  out.put_f32(config.client.sgd.momentum);
-  out.put_f32(config.client.sgd.weight_decay);
-  out.put_varint(config.client.batch_size);
-  out.put_varint(static_cast<std::uint64_t>(config.client.local_epochs));
-  put_profile(out, config.network);
-  put_heterogeneous(out, config.heterogeneous);
-  out.put_varint(config.eval_limit);
-  out.put_u8(config.evaluate_every_round ? 1 : 0);
-  out.put_f64(config.compute_seconds_per_sample);
-  out.put_f64(config.compute_jitter);
-  out.put_string(config.downlink_spec);
-  out.put_u8(static_cast<std::uint8_t>(config.downlink_mode));
-  out.put_u8(config.error_feedback ? 1 : 0);
-  const TopologyConfig& t = config.topology;
-  out.put_u8(static_cast<std::uint8_t>(t.mode));
-  out.put_varint(t.tiers.size());
-  for (const std::size_t fan : t.tiers) out.put_varint(fan);
-  // Formerly the deprecated single-tier `fanout` field, which spec-built
-  // configs always left 0; the constant keeps fingerprints (and so
-  // checkpoints written before its removal) unchanged.
-  out.put_varint(0);
-  out.put_string(t.backhaul_spec);
-  out.put_varint(t.tier_backhaul_specs.size());
-  for (const std::string& spec : t.tier_backhaul_specs) out.put_string(spec);
-  put_profile(out, t.backhaul_network);
-  put_heterogeneous(out, t.backhaul_heterogeneous);
-  out.put_u8(static_cast<std::uint8_t>(t.edge_mode));
-  out.put_varint(t.edge_buffer);
-  out.put_u8(t.edge_error_feedback ? 1 : 0);
-  out.put_u8(static_cast<std::uint8_t>(t.sharding));
-  out.put_u64(t.shard_seed);
-  out.put_f64(config.failures.dropout_rate);
-  out.put_f64(config.failures.edge_failure_rate);
-  out.put_f64(config.failures.straggler_deadline_seconds);
-  out.put_u64(config.failures.seed);
-  const PopulationConfig& p = config.population;
-  out.put_string(p.preset);
-  out.put_varint(p.mix.size());
-  for (const DeviceClassShare& share : p.mix) {
-    out.put_string(share.name);
-    out.put_f64(share.weight);
-  }
-  out.put_u8(static_cast<std::uint8_t>(p.availability));
-  out.put_f64(p.flat_availability);
-  out.put_f64(p.period_seconds);
-  out.put_f64(p.phase_jitter);
-  out.put_f64(p.dropout_rate);
-  out.put_u64(p.seed);
-  out.put_f64(config.sizeskew_s);
-  out.put_string(model.arch);
-  out.put_varint(static_cast<std::uint64_t>(model.in_channels));
-  out.put_varint(static_cast<std::uint64_t>(model.image_size));
-  out.put_varint(static_cast<std::uint64_t>(model.num_classes));
-  out.put_u8(static_cast<std::uint8_t>(model.scale));
-  out.put_u64(model.seed);
+  put_run_config(out, config);
+  put_model_config(out, model);
   return util::crc32(out.view());
-}
-
-void put_profile(ByteWriter& out, const net::NetworkProfile& profile) {
-  out.put_f64(profile.bandwidth_mbps);
-  out.put_f64(profile.latency_s);
-}
-
-void put_heterogeneous(
-    ByteWriter& out,
-    const std::optional<net::HeterogeneousNetworkConfig>& config) {
-  out.put_u8(config ? 1 : 0);
-  if (!config) return;
-  out.put_u8(static_cast<std::uint8_t>(config->distribution));
-  out.put_f64(config->edge_min_mbps);
-  out.put_f64(config->edge_max_mbps);
-  out.put_f64(config->wan_median_mbps);
-  out.put_f64(config->wan_log_sigma);
-  out.put_f64(config->two_tier_fast_fraction);
-  out.put_f64(config->two_tier_fast_mbps);
-  out.put_f64(config->two_tier_slow_mbps);
-  out.put_f64(config->latency_s);
-  out.put_u64(config->seed);
-}
-
-net::NetworkProfile get_profile(ByteReader& in) {
-  net::NetworkProfile profile;
-  profile.bandwidth_mbps = in.get_f64();
-  profile.latency_s = in.get_f64();
-  return profile;
-}
-
-std::optional<net::HeterogeneousNetworkConfig> get_heterogeneous(
-    ByteReader& in) {
-  const std::uint8_t present = in.get_u8();
-  if (present > 1)
-    throw CorruptStream("manifest: bad heterogeneous-config flag");
-  if (present == 0) return std::nullopt;
-  net::HeterogeneousNetworkConfig config;
-  config.distribution = static_cast<net::LinkDistribution>(in.get_u8());
-  config.edge_min_mbps = in.get_f64();
-  config.edge_max_mbps = in.get_f64();
-  config.wan_median_mbps = in.get_f64();
-  config.wan_log_sigma = in.get_f64();
-  config.two_tier_fast_fraction = in.get_f64();
-  config.two_tier_fast_mbps = in.get_f64();
-  config.two_tier_slow_mbps = in.get_f64();
-  config.latency_s = in.get_f64();
-  config.seed = in.get_u64();
-  return config;
 }
 
 }  // namespace fedsz::core

@@ -137,8 +137,14 @@ void FlRunConfig::validate() const {
 
 namespace {
 
-FlRunConfig validated(FlRunConfig config) {
+// The one place the shard-shuffle seed is resolved (derived from the run
+// seed when shuffled sharding leaves it unset), so the tree, the checkpoint
+// fingerprint and a distributed run's workers all see one value.
+FlRunConfig resolved(FlRunConfig config) {
   config.validate();
+  TopologyConfig& t = config.topology;
+  if (t.sharding == ShardStrategy::kShuffled && t.shard_seed == 0)
+    t.shard_seed = config.seed ^ 0x5A4DD00Dull;
   return config;
 }
 
@@ -214,7 +220,7 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
                              SchedulerPtr scheduler, RemoteEdges* remote)
     : model_config_(model_config),
       test_(std::move(test)),
-      config_(validated(std::move(config))),
+      config_(resolved(std::move(config))),
       codec_(std::move(codec)),
       scheduler_(scheduler ? std::move(scheduler) : make_sync_scheduler()),
       server_(model_config),
@@ -260,8 +266,8 @@ FlCoordinator::FlCoordinator(const nn::ModelConfig& model_config,
       throw InvalidArgument(
           "FlCoordinator: hierarchical topology requires a barrier "
           "scheduler (sync or sampled_sync)");
-    tree_ = std::make_unique<AggregationTree>(
-        with_shard_seed(config_.topology, config_.seed), config_.clients);
+    tree_ = std::make_unique<AggregationTree>(config_.topology,
+                                             config_.clients);
   }
   if (!config_.downlink_spec.empty())
     downlink_ = std::make_unique<DownlinkChannel>(
@@ -388,8 +394,7 @@ struct FlCoordinator::Pump {
   RoundStreams streams{config_.seed};
   // Churn draws ride their own stream: a failure-free run consumes exactly
   // the randomness it did before churn existed, keeping trajectory pins.
-  Rng failure_rng{config_.failures.seed ? config_.failures.seed
-                                        : (config_.seed ^ 0xFA17A1E5ull)};
+  Rng failure_rng{config_.seed ^ 0xFA17A1E5ull};
   int completed = 0;  // aggregations finished so far
   bool stopped = false;
   RoundRecord record;

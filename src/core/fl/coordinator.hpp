@@ -50,9 +50,9 @@ struct CodecSpec;
 class RemoteEdges;
 
 /// Seeded churn injection, applied as coordinator pump events. Every draw
-/// comes from its own RNG stream (seeded here, or derived from the run
-/// seed), so a failure-free run consumes exactly the randomness it did
-/// before this struct existed — the PR-5 trajectory pins stay byte-exact.
+/// comes from its own RNG stream, derived from the run seed, so a
+/// failure-free run consumes exactly the randomness it did before churn
+/// existed and the trajectory pins stay byte-exact.
 struct FailureSchedule {
   /// Per-dispatch probability a client fails mid-round: it trains for half
   /// its compute budget, then vanishes without uploading. Its weight never
@@ -67,8 +67,6 @@ struct FailureSchedule {
   /// marker) and open interior nodes force-ship what they have. 0 = no
   /// deadline.
   double straggler_deadline_seconds = 0.0;
-  /// RNG stream for the draws above; 0 derives one from the run seed.
-  std::uint64_t seed = 0;
 
   bool empty() const {
     return dropout_rate == 0.0 && edge_failure_rate == 0.0 &&
@@ -384,6 +382,8 @@ class FlCoordinator {
   FlRunResult run();
 
   FlServer& server() { return server_; }
+  /// The validated config the run uses, shard-shuffle seed resolved.
+  const FlRunConfig& config() const { return config_; }
   const net::HeterogeneousNetwork& network() const { return network_; }
   /// Null when the broadcast is free (no downlink_spec configured).
   const DownlinkChannel* downlink() const { return downlink_.get(); }

@@ -23,11 +23,11 @@ using Clock = std::chrono::steady_clock;
 
 ByteSpan view(const Bytes& bytes) { return {bytes.data(), bytes.size()}; }
 
-/// Calls `count` on every CompressionStats counter and `value` on every
-/// double field, in wire order.
-template <typename Stats, typename Count, typename Value>
-void for_each_stat(Stats& s, Count&& count, Value&& value) {
-  for (auto* field :
+// ---- PARTIAL payload ----
+
+template <typename Stats, typename Io>
+void visit_stats(Stats& s, Io& io) {
+  for (auto* count :
        {&s.original_bytes, &s.compressed_bytes, &s.lossy_original_bytes,
         &s.lossy_compressed_bytes, &s.lossless_original_bytes,
         &s.lossless_compressed_bytes, &s.raw_original_bytes,
@@ -35,59 +35,37 @@ void for_each_stat(Stats& s, Count&& count, Value&& value) {
         &s.sparse_kept_elements, &s.sparse_total_elements, &s.lossy_tensors,
         &s.lossless_tensors, &s.raw_tensors, &s.sparse_tensors,
         &s.lossy_chunks})
-    count(*field);
-  for (auto* field :
+    io.varint(*count);
+  for (auto* value :
        {&s.mean_bound_value, &s.compress_seconds, &s.decompress_seconds})
-    value(*field);
+    io.f64(*value);
 }
 
-void put_stats(ByteWriter& out, const CompressionStats& stats) {
-  for_each_stat(
-      stats, [&](std::size_t n) { out.put_varint(n); },
-      [&](double x) { out.put_f64(x); });
+template <typename Update, typename Io>
+void visit_update(Update& update, Io& io) {
+  auto& d = update.delivery;
+  io.varint(d.client);
+  io.f64(update.compute_seconds);
+  io.varint(d.samples);
+  visit_stats(d.stats, io);
+  io.f64(d.train_seconds);
+  io.f64(d.mean_loss);
+  io.f64(d.ef_residual_norm);
+  io.f64(d.ef_decode_seconds);
+  io.varint(d.payload_bytes);
+  io.f64(d.decode_seconds);
 }
 
-CompressionStats get_stats(ByteReader& in) {
-  CompressionStats stats;
-  for_each_stat(
-      stats,
-      [&](std::size_t& n) { n = static_cast<std::size_t>(in.get_varint()); },
-      [&](double& x) { x = in.get_f64(); });
-  return stats;
-}
-
-// ---- PARTIAL payload ----
-
-void put_update(ByteWriter& out, const ReportedUpdate& update) {
-  const ClientDelivery& d = update.delivery;
-  out.put_varint(d.client);
-  out.put_f64(update.compute_seconds);
-  out.put_varint(d.samples);
-  put_stats(out, d.stats);
-  out.put_f64(d.train_seconds);
-  out.put_f64(d.mean_loss);
-  out.put_f64(d.ef_residual_norm);
-  out.put_f64(d.ef_decode_seconds);
-  out.put_varint(d.payload_bytes);
-  out.put_f64(d.decode_seconds);
-}
-
-ReportedUpdate get_update(ByteReader& in, std::size_t clients) {
-  ReportedUpdate update;
-  ClientDelivery& d = update.delivery;
-  d.client = static_cast<std::size_t>(in.get_varint());
-  if (d.client >= clients)
-    throw CorruptStream("federation: PARTIAL client id out of range");
-  update.compute_seconds = in.get_f64();
-  d.samples = static_cast<std::size_t>(in.get_varint());
-  d.stats = get_stats(in);
-  d.train_seconds = in.get_f64();
-  d.mean_loss = in.get_f64();
-  d.ef_residual_norm = in.get_f64();
-  d.ef_decode_seconds = in.get_f64();
-  d.payload_bytes = static_cast<std::size_t>(in.get_varint());
-  d.decode_seconds = in.get_f64();
-  return update;
+template <typename Msg, typename Io>
+void visit_partial(Msg& msg, Io& io) {
+  auto& partial = msg.report.partial;
+  io.varint(msg.round);
+  io.bytes(partial.payload);
+  io.f64(partial.weight);
+  io.varint(partial.clients);
+  io.f64(partial.ef_residual_norm);
+  visit_stats(partial.stats, io);
+  io.list(msg.report.updates, [&](auto& update) { visit_update(update, io); });
 }
 
 // ---- ROUND_OPEN payload ----
@@ -98,40 +76,33 @@ struct RoundOpenMsg {
   std::vector<std::size_t> cohort;  // global client ids, dispatch order
 };
 
+template <typename Msg, typename Io>
+void visit_round_open(Msg& msg, Io& io) {
+  io.varint(msg.round);
+  io.f64(msg.t_open);
+  io.list(msg.cohort, [&](auto& client) { io.varint(client); });
+}
+
 Bytes serialize_round_open(const RoundOpenMsg& msg) {
   ByteWriter out;
-  out.put_varint(static_cast<std::uint64_t>(msg.round));
-  out.put_f64(msg.t_open);
-  out.put_varint(msg.cohort.size());
-  for (const std::size_t i : msg.cohort) out.put_varint(i);
+  FieldWriter put{out};
+  visit_round_open(msg, put);
   return out.finish();
 }
 
 RoundOpenMsg parse_round_open(ByteSpan bytes, std::size_t clients) {
-  try {
+  return parse_or_corrupt("federation: bad ROUND_OPEN: ", [&] {
     ByteReader in(bytes);
     RoundOpenMsg msg;
-    msg.round = static_cast<int>(in.get_varint());
-    msg.t_open = in.get_f64();
-    const std::uint64_t count = in.get_varint();
-    if (count > in.remaining())
-      throw CorruptStream("federation: cohort count exceeds the payload");
-    msg.cohort.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k) {
-      const std::uint64_t id = in.get_varint();
-      if (id >= clients)
-        throw CorruptStream("federation: cohort client id out of range");
-      msg.cohort.push_back(static_cast<std::size_t>(id));
-    }
+    FieldReader get{in, "federation: ROUND_OPEN"};
+    visit_round_open(msg, get);
     if (!in.done())
       throw CorruptStream("federation: trailing bytes after ROUND_OPEN");
+    for (const std::size_t client : msg.cohort)
+      if (client >= clients)
+        throw CorruptStream("federation: cohort client id out of range");
     return msg;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw CorruptStream(std::string("federation: bad ROUND_OPEN: ") +
-                        error.what());
-  }
+  });
 }
 
 }  // namespace
@@ -144,121 +115,53 @@ Bytes serialize_manifest(const RunManifest& manifest) {
   out.put_string(manifest.dataset.name);
   out.put_u64(manifest.dataset.seed);
   out.put_varint(manifest.dataset.take);
-  out.put_string(manifest.model.arch);
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.in_channels));
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.image_size));
-  out.put_varint(static_cast<std::uint64_t>(manifest.model.num_classes));
-  out.put_u8(static_cast<std::uint8_t>(manifest.model.scale));
-  out.put_u64(manifest.model.seed);
-  out.put_varint(manifest.clients);
-  out.put_varint(static_cast<std::uint64_t>(manifest.rounds));
-  out.put_u64(manifest.seed);
-  out.put_f32(manifest.client.sgd.learning_rate);
-  out.put_f32(manifest.client.sgd.momentum);
-  out.put_f32(manifest.client.sgd.weight_decay);
-  out.put_varint(manifest.client.batch_size);
-  out.put_varint(static_cast<std::uint64_t>(manifest.client.local_epochs));
-  put_profile(out, manifest.network);
-  put_heterogeneous(out, manifest.heterogeneous);
-  out.put_f64(manifest.compute_seconds_per_sample);
-  out.put_f64(manifest.compute_jitter);
-  put_profile(out, manifest.backhaul_network);
-  put_heterogeneous(out, manifest.backhaul_heterogeneous);
-  out.put_u64(manifest.shard_seed);
+  put_model_config(out, manifest.model);
+  put_run_config(out, manifest.config);
   out.put_u32(manifest.edge);
-  out.put_u32(manifest.edges);
   out.put_f64(manifest.heartbeat_interval_seconds);
-  out.put_u32(manifest.fingerprint);
   return out.finish();
 }
 
 RunManifest parse_manifest(ByteSpan bytes) {
-  try {
+  return parse_or_corrupt("manifest: ", [&] {
     ByteReader in(bytes);
     RunManifest m;
     m.codec_spec = in.get_string();
     m.dataset.name = in.get_string();
     m.dataset.seed = in.get_u64();
     m.dataset.take = static_cast<std::size_t>(in.get_varint());
-    m.model.arch = in.get_string();
-    m.model.in_channels = static_cast<int>(in.get_varint());
-    m.model.image_size = static_cast<int>(in.get_varint());
-    m.model.num_classes = static_cast<int>(in.get_varint());
-    m.model.scale = static_cast<nn::ModelScale>(in.get_u8());
-    m.model.seed = in.get_u64();
-    m.clients = static_cast<std::size_t>(in.get_varint());
-    m.rounds = static_cast<int>(in.get_varint());
-    m.seed = in.get_u64();
-    m.client.sgd.learning_rate = in.get_f32();
-    m.client.sgd.momentum = in.get_f32();
-    m.client.sgd.weight_decay = in.get_f32();
-    m.client.batch_size = static_cast<std::size_t>(in.get_varint());
-    m.client.local_epochs = static_cast<int>(in.get_varint());
-    m.network = get_profile(in);
-    m.heterogeneous = get_heterogeneous(in);
-    m.compute_seconds_per_sample = in.get_f64();
-    m.compute_jitter = in.get_f64();
-    m.backhaul_network = get_profile(in);
-    m.backhaul_heterogeneous = get_heterogeneous(in);
-    m.shard_seed = in.get_u64();
+    m.model = get_model_config(in);
+    m.config = get_run_config(in);
     m.edge = in.get_u32();
-    m.edges = in.get_u32();
     m.heartbeat_interval_seconds = in.get_f64();
-    m.fingerprint = in.get_u32();
     if (!in.done())
       throw CorruptStream("manifest: trailing bytes after the manifest");
     return m;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw CorruptStream(std::string("manifest: ") + error.what());
-  }
+  });
 }
 
 // ---- PARTIAL ----
 
 Bytes serialize_partial(const PartialMsg& msg) {
-  const EncodedPartial& partial = msg.report.partial;
   ByteWriter out;
-  out.put_varint(static_cast<std::uint64_t>(msg.round));
-  out.put_blob(view(partial.payload));
-  out.put_f64(partial.weight);
-  out.put_varint(partial.clients);
-  out.put_f64(partial.ef_residual_norm);
-  put_stats(out, partial.stats);
-  out.put_varint(msg.report.updates.size());
-  for (const ReportedUpdate& update : msg.report.updates)
-    put_update(out, update);
+  FieldWriter put{out};
+  visit_partial(msg, put);
   return out.finish();
 }
 
 PartialMsg parse_partial(ByteSpan bytes, std::size_t clients) {
-  try {
+  return parse_or_corrupt("federation: bad PARTIAL: ", [&] {
     ByteReader in(bytes);
     PartialMsg msg;
-    EncodedPartial& partial = msg.report.partial;
-    msg.round = static_cast<int>(in.get_varint());
-    const ByteSpan payload = in.get_blob_view();
-    partial.payload.assign(payload.begin(), payload.end());
-    partial.weight = in.get_f64();
-    partial.clients = static_cast<std::size_t>(in.get_varint());
-    partial.ef_residual_norm = in.get_f64();
-    partial.stats = get_stats(in);
-    const std::uint64_t count = in.get_varint();
-    if (count > in.remaining())
-      throw CorruptStream("federation: update count exceeds the payload");
-    msg.report.updates.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t k = 0; k < count; ++k)
-      msg.report.updates.push_back(get_update(in, clients));
+    FieldReader get{in, "federation: PARTIAL"};
+    visit_partial(msg, get);
     if (!in.done())
       throw CorruptStream("federation: trailing bytes after PARTIAL");
+    for (const ReportedUpdate& update : msg.report.updates)
+      if (update.delivery.client >= clients)
+        throw CorruptStream("federation: PARTIAL client id out of range");
     return msg;
-  } catch (const CorruptStream&) {
-    throw;
-  } catch (const std::exception& error) {
-    throw CorruptStream(std::string("federation: bad PARTIAL: ") +
-                        error.what());
-  }
+  });
 }
 
 // ---- edge worker ----
@@ -267,13 +170,13 @@ namespace {
 
 /// The worker's rebuilt slice of the run: the same deterministic
 /// derivations the in-process coordinator constructor performs (dataset,
-/// shards, per-client compute budgets, per-client links, codecs), minus
-/// everything server-side. Clients materialize lazily — with crash
-/// re-homing a worker can be asked to train ANY client, but usually only
-/// its own shard.
+/// shards, per-client compute budgets, per-client links, codecs) from the
+/// manifest's run config, minus everything server-side. Clients
+/// materialize lazily — with crash re-homing a worker can be asked to train
+/// ANY client, but usually only its own shard.
 struct EdgeRuntime {
   RunManifest manifest;
-  FlRunConfig config;
+  const FlRunConfig& config = manifest.config;
   UpdateCodecPtr codec;
   std::unique_ptr<AggregationTree> tree;
   std::unique_ptr<ClientPopulation> population;  // before network: links
@@ -286,7 +189,6 @@ struct EdgeRuntime {
 
   explicit EdgeRuntime(RunManifest m)
       : manifest(std::move(m)),
-        config(config_from(manifest)),
         codec(make_codec(parse_codec_spec(manifest.codec_spec))),
         tree(std::make_unique<AggregationTree>(config.topology,
                                                config.clients)),
@@ -307,24 +209,6 @@ struct EdgeRuntime {
         data::make_dataset(dataset.name, dataset.seed).first;
     if (dataset.take > 0) train = data::take(train, dataset.take);
     return train;
-  }
-
-  static FlRunConfig config_from(const RunManifest& m) {
-    FlRunConfig config;
-    config.apply_comm_spec(parse_codec_spec(m.codec_spec));
-    config.clients = m.clients;
-    config.rounds = m.rounds;
-    config.seed = m.seed;
-    config.client = m.client;
-    config.network = m.network;
-    config.heterogeneous = m.heterogeneous;
-    config.compute_seconds_per_sample = m.compute_seconds_per_sample;
-    config.compute_jitter = m.compute_jitter;
-    config.topology.backhaul_network = m.backhaul_network;
-    config.topology.backhaul_heterogeneous = m.backhaul_heterogeneous;
-    config.topology.shard_seed = m.shard_seed;
-    config.validate();
-    return config;
   }
 
   FlClient& client(std::size_t i) {
@@ -442,8 +326,10 @@ void run_edge_worker(net::StreamPtr stream) {
                         net::frame_type_name(hello->type));
   EdgeRuntime rt(parse_manifest(view(hello->payload)));
 
+  // The fingerprint of the run this worker rebuilt, not the root's: the
+  // root compares it with its own.
   ByteWriter ack;
-  ack.put_u32(rt.manifest.fingerprint);
+  ack.put_u32(run_fingerprint(rt.config, rt.manifest.model));
   ack.put_varint(rt.manifest.edge);
   const Bytes ack_bytes = ack.finish();
   chan.send(net::FrameType::kAck, view(ack_bytes));
@@ -483,7 +369,6 @@ struct InboxEvent {
 struct FederatedRoot::Impl final : RemoteEdges {
   nn::ModelConfig model_config;
   DatasetSpec train_spec;
-  FlRunConfig config;  // shard seed resolved, as the manifests carry it
   std::string spec_string;
   FederationOptions options;
   std::uint32_t fingerprint = 0;
@@ -506,26 +391,8 @@ struct FederatedRoot::Impl final : RemoteEdges {
   std::size_t edges() const { return coordinator->topology()->edge_count(); }
 
   RunManifest manifest(std::uint32_t edge) const {
-    RunManifest m;
-    m.codec_spec = spec_string;
-    m.dataset = train_spec;
-    m.model = model_config;
-    m.clients = config.clients;
-    m.rounds = config.rounds;
-    m.seed = config.seed;
-    m.client = config.client;
-    m.network = config.network;
-    m.heterogeneous = config.heterogeneous;
-    m.compute_seconds_per_sample = config.compute_seconds_per_sample;
-    m.compute_jitter = config.compute_jitter;
-    m.backhaul_network = config.topology.backhaul_network;
-    m.backhaul_heterogeneous = config.topology.backhaul_heterogeneous;
-    m.shard_seed = config.topology.shard_seed;
-    m.edge = edge;
-    m.edges = static_cast<std::uint32_t>(edges());
-    m.heartbeat_interval_seconds = options.heartbeat_interval_seconds;
-    m.fingerprint = fingerprint;
-    return m;
+    return {spec_string, train_spec, model_config, coordinator->config(),
+            edge, options.heartbeat_interval_seconds};
   }
 
   void push_event(InboxEvent event) {
@@ -580,13 +447,13 @@ struct FederatedRoot::Impl final : RemoteEdges {
     }
   }
 
-  /// Every worker must echo the fingerprint and its edge before the first
-  /// round — a worker built from different code (or fed a different
-  /// manifest) fails here, not 40 rounds in. A worker that dies before its
-  /// own ACK never confirmed its build, which is fatal. One that dies after
-  /// it is a crash like any later one: its EOF goes back to the inbox for
-  /// run_round(), so the outcome does not depend on how fast the other
-  /// workers ACK.
+  /// Every worker must ACK the fingerprint of the config it parsed, and its
+  /// edge, before the first round — a worker built from different code (or
+  /// fed a different manifest) fails here, not 40 rounds in. A worker that
+  /// dies before its own ACK never confirmed its build, which is fatal. One
+  /// that dies after it is a crash like any later one: its EOF goes back to
+  /// the inbox for run_round(), so the outcome does not depend on how fast
+  /// the other workers ACK.
   void handshake() {
     std::vector<char> acked(conns.size(), 0);
     std::vector<InboxEvent> deaths;
@@ -612,7 +479,9 @@ struct FederatedRoot::Impl final : RemoteEdges {
       if (fp != fingerprint || edge != event->edge)
         throw net::TransportError(
             "federation: worker " + std::to_string(event->edge) +
-            " acked a mismatched fingerprint/edge -- incompatible build or "
+            " acked fingerprint " + std::to_string(fp) + " for edge " +
+            std::to_string(edge) + ", expected fingerprint " +
+            std::to_string(fingerprint) + " -- incompatible build or "
             "manifest");
       if (!acked[event->edge]) {
         acked[event->edge] = 1;
@@ -678,7 +547,8 @@ struct FederatedRoot::Impl final : RemoteEdges {
     if (event.frame->type != net::FrameType::kPartial)
       throw CorruptStream("federation: expected PARTIAL, got " +
                           net::frame_type_name(event.frame->type));
-    PartialMsg msg = parse_partial(view(event.frame->payload), config.clients);
+    PartialMsg msg = parse_partial(view(event.frame->payload),
+                                   coordinator->config().clients);
     if (msg.round != round)
       throw CorruptStream("federation: PARTIAL for round " +
                           std::to_string(msg.round) + " while round " +
@@ -758,12 +628,6 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
                              FlRunConfig config, const CodecSpec& spec,
                              SchedulerPtr scheduler, FederationOptions options)
     : impl_(std::make_unique<Impl>()) {
-  config.validate();
-  if (config.topology.mode != TopologyMode::kHier ||
-      config.topology.tiers.size() != 1)
-    throw InvalidArgument(
-        "FederatedRoot: distributed runs need a single-tier hierarchy "
-        "(topology=hier:<N>) -- one worker process per tier-1 edge");
   if (!config.downlink_spec.empty())
     throw InvalidArgument(
         "FederatedRoot: downlink compression is not distributed yet -- the "
@@ -780,28 +644,31 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
     throw InvalidArgument(
         "FederatedRoot: distributed edges are sync-only (a buffered edge "
         "would need late client arrivals crossing the wire)");
-  if (!config.checkpoint_path.empty())
+  if (!config.checkpoint_path.empty() &&
+      (config.error_feedback || config.topology.edge_error_feedback))
     throw InvalidArgument(
-        "FederatedRoot: checkpoint/resume is in-process only for now -- "
-        "drop checkpoint= from the spec when using transport=tcp");
+        "FederatedRoot: checkpoint= cannot be combined with ef=on or "
+        "edgeef=on when using transport=tcp -- those residuals live in the "
+        "edge workers, which a checkpoint does not capture");
   Impl& impl = *impl_;
   impl.model_config = model_config;
   impl.train_spec = std::move(train);
   impl.spec_string = format_codec_spec(spec);
   impl.options = options;
-  impl.config = std::move(config);
-  impl.config.topology =
-      with_shard_seed(impl.config.topology, impl.config.seed);
-  impl.fingerprint = run_fingerprint(impl.config, model_config);
-  // The coordinator rejects continuous schedulers on any hierarchy.
+  // The coordinator validates the config and rejects a flat topology and
+  // continuous schedulers.
   impl.coordinator = std::make_unique<FlCoordinator>(
-      model_config, std::move(test), impl.config, impl, std::move(scheduler));
+      model_config, std::move(test), std::move(config), impl,
+      std::move(scheduler));
+  const FlRunConfig& resolved = impl.coordinator->config();
+  impl.fingerprint = run_fingerprint(resolved, model_config);
   edge_count_ = impl.edges();
-  if (!impl.config.transport.empty()) {
+  const std::string& transport = resolved.transport;
+  if (!transport.empty()) {
     // "tcp:<port>" was validated by FlRunConfig::validate(); port 0 asks
     // the kernel, so bind NOW to make port() meaningful before run().
-    const std::uint16_t port = static_cast<std::uint16_t>(
-        std::stoul(impl.config.transport.substr(4)));
+    const std::uint16_t port =
+        static_cast<std::uint16_t>(std::stoul(transport.substr(4)));
     impl.listener = std::make_unique<net::TcpListener>(port);
   }
 }

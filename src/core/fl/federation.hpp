@@ -1,12 +1,13 @@
-// Cross-process federation: a single-tier `topology=hier:<N>` campaign
-// whose tier-1 edge cohorts each train inside their own WORKER (a thread
+// Cross-process federation: a `topology=hier:<N>[x<M>...]` campaign whose
+// tier-1 edge cohorts each train inside their own WORKER (a thread
 // over a loopback stream in tests, a separate `fedsz_edge_worker` process
 // over TCP in production), speaking the versioned frame protocol from
 // net/wire.hpp:
 //
-//   root -> worker   HELLO      run manifest (everything the worker needs
-//                               to rebuild its deterministic slice)
-//   worker -> root   ACK        fingerprint echo + assigned edge index
+//   root -> worker   HELLO      run manifest: codec spec, dataset recipe,
+//                               model, the put_run_config bytes, edge index
+//   worker -> root   ACK        run_fingerprint of the config the worker
+//                               parsed + its edge index
 //   root -> worker   ROUND_OPEN round index, virtual open time, cohort
 //   root -> worker   BROADCAST  the serialized global model (bit-exact)
 //   worker -> root   PARTIAL    one re-encoded partial mean + each client's
@@ -24,7 +25,8 @@
 // queue orders remote arrivals, the same code traces them and scores
 // Eqn (1), and an edge's partial ships when its last update arrives. A
 // worker folds its cohort in that same virtual-clock order, so a TCP run is
-// BIT-IDENTICAL, round for round, to the in-process run.
+// BIT-IDENTICAL, round for round, to the in-process run. Tiers above the
+// first are ordinary in-process nodes of the root's pump.
 //
 // Churn: a worker that closes before its handshake ACK never confirmed its
 // build, so the run fails with a TransportError. A worker that dies after
@@ -38,7 +40,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,33 +70,20 @@ struct FederationOptions {
 };
 
 /// Everything an edge worker needs to rebuild its deterministic slice of
-/// the run: the canonical codec spec (comm keys included), the dataset
-/// recipe, the model/client/network/compute configuration, the topology
-/// knobs that live outside the spec grammar, and this worker's edge
-/// assignment. `fingerprint` is run_fingerprint(config, model) — the ACK
-/// echoes it so a mismatched worker build fails the handshake loudly.
+/// the run: the canonical codec spec (the worker builds its uplink codec
+/// from it, nothing else), the dataset recipe, the model, the run config
+/// (every run setting, shipped as put_run_config bytes — the bytes
+/// run_fingerprint hashes) and this worker's edge assignment. The worker
+/// ACKs run_fingerprint(config, model) of the manifest it parsed, so a
+/// worker that would rebuild a different run fails the handshake.
 struct RunManifest {
   std::string codec_spec;
   DatasetSpec dataset;
   nn::ModelConfig model;
-  std::size_t clients = 0;
-  int rounds = 0;
-  std::uint64_t seed = 0;
-  ClientConfig client;
-  net::NetworkProfile network;
-  std::optional<net::HeterogeneousNetworkConfig> heterogeneous;
-  double compute_seconds_per_sample = 0.0;
-  double compute_jitter = 0.0;
-  net::NetworkProfile backhaul_network;
-  std::optional<net::HeterogeneousNetworkConfig> backhaul_heterogeneous;
-  /// Resolved shard-shuffle seed (the coordinator's seed derivation
-  /// applied root-side, so both sides build the same tree).
-  std::uint64_t shard_seed = 0;
-  std::uint32_t edge = 0;   // this worker's tier-1 edge index
-  std::uint32_t edges = 0;  // total edge count
+  FlRunConfig config;
+  std::uint32_t edge = 0;  // this worker's tier-1 edge index
   /// Worker HEARTBEAT cadence (from the root's FederationOptions).
   double heartbeat_interval_seconds = 0.25;
-  std::uint32_t fingerprint = 0;
 };
 
 Bytes serialize_manifest(const RunManifest& manifest);
@@ -114,10 +102,11 @@ Bytes serialize_partial(const PartialMsg& msg);
 PartialMsg parse_partial(ByteSpan bytes, std::size_t clients);
 
 /// The server process of a distributed campaign. Restrictions (enforced in
-/// the constructor): single-tier hierarchy, barrier scheduler, sync edges,
-/// free lossless broadcast (no downlink spec), no injected failure schedule
-/// (wire churn IS the failure model here), no checkpointing (checkpoint
-/// in-process runs instead).
+/// the constructor): a hierarchy, a barrier scheduler, sync edges, a free
+/// lossless broadcast (no downlink spec), no injected failure schedule or
+/// population drop= (wire churn IS the failure model here), and no
+/// checkpoint together with ef=on or edgeef=on (those residuals live in
+/// the workers, which a checkpoint does not capture).
 class FederatedRoot {
  public:
   /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`

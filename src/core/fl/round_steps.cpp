@@ -6,13 +6,6 @@
 
 namespace fedsz::core {
 
-TopologyConfig with_shard_seed(TopologyConfig topology,
-                               std::uint64_t run_seed) {
-  if (topology.sharding == ShardStrategy::kShuffled && topology.shard_seed == 0)
-    topology.shard_seed = run_seed ^ 0x5A4DD00Dull;
-  return topology;
-}
-
 RoundStreams::RoundStreams(std::uint64_t run_seed)
     : cohort(run_seed ^ 0x5C4ED11Eull),
       eligibility(run_seed ^ 0xE11D1B1Eull) {}

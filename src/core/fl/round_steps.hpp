@@ -18,11 +18,6 @@ namespace fedsz::core {
 
 // ---- seed derivations ----
 
-/// `topology` with its shard-shuffle seed derived from the run seed when
-/// shuffled sharding left it unset.
-TopologyConfig with_shard_seed(TopologyConfig topology,
-                               std::uint64_t run_seed);
-
 /// The two streams a round open draws from (checkpointed mid-sequence).
 struct RoundStreams {
   Rng cohort;       // the scheduler's cohort draws

@@ -45,9 +45,11 @@ std::string frame_type_name(FrameType type);
 
 inline constexpr std::uint32_t kWireMagic = 0x31575346u;  // "FSW1" LE
 /// v3: each PARTIAL delivery carries the client's sample count and compute
-/// budget, and the root's own clock orders them. A root and a worker of
-/// different versions fail on the first frame instead of mid-parse.
-inline constexpr std::uint8_t kWireVersion = 3;
+/// budget, and the root's own clock orders them. v4: the HELLO carries the
+/// run config as put_run_config bytes and the ACK the worker's own
+/// fingerprint of it. A root and a worker of different versions fail on
+/// the first frame instead of mid-parse.
+inline constexpr std::uint8_t kWireVersion = 4;
 inline constexpr std::size_t kWireHeaderBytes = 16;
 /// Default decoder payload cap. Generous (a paper-scale AlexNet broadcast
 /// is ~200 MB raw) but bounded, so a corrupt or hostile length prefix can

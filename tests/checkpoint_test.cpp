@@ -234,6 +234,12 @@ TEST(CheckpointTest, ResumeRejectsMismatchedConfig) {
   EXPECT_THROW(run_campaign(2, ck.path.string(), 1, true, "fedsz:eb=rel:1e-2",
                             /*lr=*/0.01f),
                InvalidArgument);
+  // Dirichlet shards written, IID shards resumed: a different partition,
+  // so a different experiment too.
+  run_campaign(1, ck.path.string(), 1, false,
+               "fedsz:eb=rel:1e-2,data=dirichlet:0.5");
+  EXPECT_THROW(run_campaign(2, ck.path.string(), 1, true, "fedsz:eb=rel:1e-2"),
+               InvalidArgument);
 }
 
 // ---- kill -9 mid-campaign, through the real binary ----

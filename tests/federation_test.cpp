@@ -1,11 +1,14 @@
 // Cross-process federation: the distributed runtime must be BIT-IDENTICAL
 // to the in-process coordinator on every virtual-clock-deterministic field
-// — pinned here over the loopback transport (workers as threads), over
-// real TCP with fedsz_edge_worker processes (when the build provides
-// FEDSZ_BIN_DIR), and through churn (a worker that dies after its
-// handshake ACK gets its cohort dropped for the round and re-homed after;
-// one that dies before its ACK fails the run), and a PARTIAL that does not
-// cover its edge's cohort is rejected as corrupt.
+// — pinned here over the loopback transport (workers as threads, one- and
+// multi-tier trees, checkpoint and resume), over real TCP with
+// fedsz_edge_worker processes (when the build provides FEDSZ_BIN_DIR), and
+// through churn (a worker that dies after its handshake ACK gets its
+// cohort dropped for the round and re-homed after; one that dies before
+// its ACK fails the run). A PARTIAL that does not cover its edge's cohort
+// is rejected as corrupt, a worker handed a different run config fails
+// the handshake, and a mutated HELLO never parses into anything but a
+// manifest or a CorruptStream.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -14,11 +17,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <functional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/codec_spec.hpp"
+#include "core/fl/checkpoint.hpp"
 #include "core/fl/coordinator.hpp"
 #include "core/fl/federation.hpp"
 #include "data/synthetic.hpp"
@@ -54,12 +59,22 @@ FlRunConfig base_config(const CodecSpec& spec) {
   return config;
 }
 
-FlRunResult run_in_process(const char* spec_string = kSpec) {
+// Adjusts a test's base config (rounds, checkpoint settings).
+using Tweak = std::function<void(FlRunConfig&)>;
+
+FlRunConfig tweaked_config(const CodecSpec& spec, const Tweak& tweak) {
+  FlRunConfig config = base_config(spec);
+  if (tweak) tweak(config);
+  return config;
+}
+
+FlRunResult run_in_process(const char* spec_string = kSpec,
+                           const Tweak& tweak = {}) {
   const CodecSpec spec = parse_codec_spec(spec_string);
   auto [train, test] = data::make_dataset("cifar10", 7);
   FlCoordinator coordinator(tiny_model(), data::take(train, kTake),
-                            data::take(test, 256), base_config(spec),
-                            make_codec(spec));
+                            data::take(test, 256),
+                            tweaked_config(spec, tweak), make_codec(spec));
   return coordinator.run();
 }
 
@@ -136,18 +151,13 @@ std::jthread start_worker(net::StreamPtr stream, bool may_fail = false) {
   });
 }
 
-// Runs `spec_string` with every edge worker on a loopback stream, pins the
-// result to the in-process run of the same spec, and hands it back.
-void expect_loopback_matches_in_process(const char* spec_string,
-                                        FlRunResult& distributed) {
-  const FlRunResult reference = run_in_process(spec_string);
-  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
-
+// Runs `spec_string` with every edge worker on a loopback stream.
+FlRunResult run_loopback(const char* spec_string, const Tweak& tweak = {}) {
   const CodecSpec spec = parse_codec_spec(spec_string);
   auto [train, test] = data::make_dataset("cifar10", 7);
   (void)train;
   FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
-                     data::take(test, 256), base_config(spec), spec);
+                     data::take(test, 256), tweaked_config(spec, tweak), spec);
   std::vector<net::StreamPtr> root_ends;
   std::vector<std::jthread> workers;
   for (std::size_t e = 0; e < root.edge_count(); ++e) {
@@ -155,7 +165,17 @@ void expect_loopback_matches_in_process(const char* spec_string,
     root_ends.push_back(std::move(root_end));
     workers.push_back(start_worker(std::move(worker_end)));
   }
-  distributed = root.run_with_streams(std::move(root_ends));
+  return root.run_with_streams(std::move(root_ends));
+}
+
+// Runs `spec_string` over loopback, pins the result to the in-process run
+// of the same spec, and hands it back.
+void expect_loopback_matches_in_process(const char* spec_string,
+                                        FlRunResult& distributed) {
+  SCOPED_TRACE(spec_string);
+  const FlRunResult reference = run_in_process(spec_string);
+  ASSERT_EQ(reference.rounds.size(), static_cast<std::size_t>(kRounds));
+  distributed = run_loopback(spec_string);
   expect_results_identical(distributed, reference);
 }
 
@@ -169,17 +189,23 @@ TEST(FederationTest, ManifestRoundtrip) {
   for (std::uint32_t e = 0; e < 2; ++e) {
     const RunManifest manifest = root.manifest(e);
     EXPECT_EQ(manifest.edge, e);
-    EXPECT_EQ(manifest.edges, 2u);
-    EXPECT_EQ(manifest.clients, kClients);
+    // The worker's tree derives the edge count from the config.
+    EXPECT_EQ(AggregationTree(manifest.config.topology, manifest.config.clients)
+                  .edge_count(),
+              2u);
+    EXPECT_EQ(manifest.config.clients, kClients);
     EXPECT_EQ(manifest.dataset.take, kTake);
-    EXPECT_NE(manifest.fingerprint, 0u);
+    const std::uint32_t fingerprint =
+        run_fingerprint(manifest.config, manifest.model);
+    EXPECT_NE(fingerprint, 0u);
     const Bytes blob = serialize_manifest(manifest);
     const RunManifest parsed = parse_manifest({blob.data(), blob.size()});
     EXPECT_EQ(parsed.codec_spec, manifest.codec_spec);
-    EXPECT_EQ(parsed.seed, manifest.seed);
-    EXPECT_EQ(parsed.shard_seed, manifest.shard_seed);
+    EXPECT_EQ(parsed.config.seed, manifest.config.seed);
+    EXPECT_EQ(parsed.config.topology.shard_seed,
+              manifest.config.topology.shard_seed);
     EXPECT_EQ(parsed.edge, manifest.edge);
-    EXPECT_EQ(parsed.fingerprint, manifest.fingerprint);
+    EXPECT_EQ(run_fingerprint(parsed.config, parsed.model), fingerprint);
     EXPECT_EQ(serialize_manifest(parsed), blob);
   }
   // Corrupt manifests must throw, never construct a half-parsed run.
@@ -199,22 +225,33 @@ TEST(FederationTest, CtorRejectsUnsupportedConfigs) {
   };
   // Flat topology: nothing to distribute.
   EXPECT_THROW(make_root("fedsz:eb=rel:1e-2"), InvalidArgument);
-  // Multi-tier trees stay in process.
-  EXPECT_THROW(make_root("fedsz:eb=rel:1e-2,topology=hier:2x2"),
+  // A checkpoint does not capture the EF residuals the workers carry.
+  EXPECT_THROW(make_root("fedsz:eb=rel:1e-2,ef=on,topology=hier:2,"
+                         "checkpoint=/tmp/x.ck:1"),
                InvalidArgument);
-  // Checkpointing is the in-process coordinator's job.
-  EXPECT_THROW(
-      make_root("fedsz:eb=rel:1e-2,topology=hier:2,checkpoint=/tmp/x.ck:1"),
-      InvalidArgument);
+  EXPECT_THROW(make_root("fedsz:eb=rel:1e-2,topology=hier:2,"
+                         "backhaul=fedsz:eb=rel:1e-3,edgeef=on,"
+                         "checkpoint=/tmp/x.ck:1"),
+               InvalidArgument);
   // A downlink spec needs the in-process broadcast machinery.
   EXPECT_THROW(
       make_root("fedsz:eb=rel:1e-2,topology=hier:2,downlink=fedsz:eb=rel:1e-2"),
       InvalidArgument);
 }
 
+// Tiers above the first run inside the root's pump, so multi-tier trees —
+// with lossy backhauls, edge-side and client EF, and shuffled shards —
+// cross the wire bit-identically too.
 TEST(FederationTest, LoopbackRunMatchesInProcess) {
-  FlRunResult distributed;
-  expect_loopback_matches_in_process(kSpec, distributed);
+  for (const char* spec :
+       {kSpec,
+        "fedsz:eb=rel:1e-2,topology=hier:2x2,backhaul=fedsz:eb=rel:1e-3,"
+        "edgeef=on,shard=shuffled",
+        "fedsz:eb=rel:1e-2,topology=hier:2x2x1,backhaul2=fedsz:eb=rel:1e-2,"
+        "ef=on"}) {
+    FlRunResult distributed;
+    expect_loopback_matches_in_process(spec, distributed);
+  }
 }
 
 // Sparse updates cross the wire with their plan census intact: every
@@ -241,6 +278,61 @@ TEST(FederationTest, PopulationLoopbackMatchesInProcess) {
       distributed);
   for (const RoundRecord& r : distributed.rounds)
     EXPECT_EQ(r.eligible_clients + r.ineligible_clients, kClients);
+}
+
+// No run state lives in the workers without client or edge EF, so a
+// loopback run checkpoints and resumes like an in-process one: its
+// checkpointed rounds match the in-process run, and its checkpoint resumes
+// to the uninterrupted in-process suffix over loopback and in process
+// alike (the shard seed it fingerprints is the one in-process runs use).
+void expect_checkpoint_resumes_anywhere(const char* spec) {
+  SCOPED_TRACE(spec);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("fedsz_fed_" + std::to_string(::getpid()) + ".ck");
+  std::filesystem::remove(path);
+  struct RemoveOnExit {  // a failed resume throws out of this function
+    const std::filesystem::path& path;
+    ~RemoveOnExit() { std::filesystem::remove(path); }
+  } cleanup{path};
+  // Resumed runs checkpoint every 4 rounds, so they never overwrite the
+  // round-1 checkpoint the next resume reads.
+  const auto checkpointed = [&](int rounds, std::size_t every, bool resume) {
+    return [=](FlRunConfig& config) {
+      config.rounds = rounds;
+      config.checkpoint_path = path.string();
+      config.checkpoint_every = every;
+      config.resume = resume;
+    };
+  };
+  const FlRunResult full =
+      run_in_process(spec, [](FlRunConfig& config) { config.rounds = 3; });
+  ASSERT_EQ(full.rounds.size(), 3u);
+  const FlRunResult head = run_loopback(spec, checkpointed(1, 1, false));
+  ASSERT_EQ(head.rounds.size(), 1u);
+  expect_rounds_identical(head.rounds[0], full.rounds[0]);
+  const auto expect_suffix = [&](const FlRunResult& resumed) {
+    ASSERT_EQ(resumed.rounds.size(), 2u);
+    expect_rounds_identical(resumed.rounds[0], full.rounds[1]);
+    expect_rounds_identical(resumed.rounds[1], full.rounds[2]);
+    EXPECT_EQ(resumed.final_accuracy, full.final_accuracy);
+    EXPECT_EQ(resumed.total_virtual_seconds, full.total_virtual_seconds);
+  };
+  {
+    SCOPED_TRACE("loopback resume");
+    expect_suffix(run_loopback(spec, checkpointed(3, 4, true)));
+  }
+  {
+    SCOPED_TRACE("in-process resume");
+    expect_suffix(run_in_process(spec, checkpointed(3, 4, true)));
+  }
+}
+
+TEST(FederationTest, LoopbackCheckpointResumesAnywhere) {
+  expect_checkpoint_resumes_anywhere(kSpec);
+  expect_checkpoint_resumes_anywhere(
+      "fedsz:eb=rel:1e-2,topology=hier:2x2,shard=shuffled,"
+      "population=mixed:seed=9");
 }
 
 // Population mid-round dropout rides the in-process dropout machinery and
@@ -284,7 +376,7 @@ TEST(FederationTest, CrashedWorkerIsRehomed) {
     const RunManifest manifest =
         parse_manifest({hello->payload.data(), hello->payload.size()});
     ByteWriter ack;
-    ack.put_u32(manifest.fingerprint);
+    ack.put_u32(run_fingerprint(manifest.config, manifest.model));
     ack.put_varint(manifest.edge);
     const Bytes bytes = ack.finish();
     chan.send(net::FrameType::kAck, {bytes.data(), bytes.size()});
@@ -384,7 +476,7 @@ std::jthread start_crafted_worker(net::StreamPtr stream, PartialLie lie) {
       const RunManifest manifest =
           parse_manifest({hello->payload.data(), hello->payload.size()});
       ByteWriter ack;
-      ack.put_u32(manifest.fingerprint);
+      ack.put_u32(run_fingerprint(manifest.config, manifest.model));
       ack.put_varint(manifest.edge);
       const Bytes ack_bytes = ack.finish();
       chan.send(net::FrameType::kAck, {ack_bytes.data(), ack_bytes.size()});
@@ -467,6 +559,152 @@ TEST(FederationTest, PartialOutsideItsCohortIsCorrupt) {
       EXPECT_NE(std::string(error.what()).find(c.error), std::string::npos)
           << error.what();
     }
+  }
+}
+
+// Forwards every frame `from` -> `to` through `edit` until either side
+// closes, then closes both so the opposite direction's relay ends too.
+std::jthread relay(std::shared_ptr<net::FrameChannel> from,
+                   std::shared_ptr<net::FrameChannel> to,
+                   std::function<void(net::Frame&)> edit) {
+  return std::jthread([=] {
+    try {
+      while (std::optional<net::Frame> frame = from->recv()) {
+        edit(*frame);
+        to->send(frame->type, {frame->payload.data(), frame->payload.size()});
+      }
+    } catch (const std::exception&) {
+      // The other side hung up mid-frame.
+    }
+    from->close();
+    to->close();
+  });
+}
+
+// A man in the middle rewrites the HELLO's run config (seed + 1) before a
+// real worker reads it. The worker ACKs the fingerprint of the run it
+// would rebuild, which is not the root's, so the handshake fails naming
+// the fingerprint instead of the run silently training something else.
+TEST(FederationTest, TamperedHelloFailsTheHandshake) {
+  const CodecSpec spec = parse_codec_spec(kSpec);
+  auto [train, test] = data::make_dataset("cifar10", 7);
+  (void)train;
+  FederatedRoot root(tiny_model(), DatasetSpec{"cifar10", 7, kTake},
+                     data::take(test, 256), base_config(spec), spec);
+  const auto tamper = [](net::Frame& frame) {
+    if (frame.type != net::FrameType::kHello) return;
+    RunManifest manifest =
+        parse_manifest({frame.payload.data(), frame.payload.size()});
+    ++manifest.config.seed;
+    frame.payload = serialize_manifest(manifest);
+  };
+  std::vector<net::StreamPtr> root_ends;
+  std::vector<std::jthread> threads;
+  for (std::size_t e = 0; e < root.edge_count(); ++e) {
+    auto [root_end, root_side] = net::make_loopback_pair();
+    auto [worker_side, worker_end] = net::make_loopback_pair();
+    const auto up = std::make_shared<net::FrameChannel>(root_side);
+    const auto down = std::make_shared<net::FrameChannel>(worker_side);
+    root_ends.push_back(std::move(root_end));
+    threads.push_back(start_worker(std::move(worker_end), true));
+    threads.push_back(relay(up, down, tamper));
+    threads.push_back(relay(down, up, [](net::Frame&) {}));
+  }
+  try {
+    root.run_with_streams(std::move(root_ends));
+    ADD_FAILURE() << "the root accepted a worker that rebuilt another run";
+  } catch (const net::TransportError& error) {
+    EXPECT_NE(std::string(error.what()).find("fingerprint"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+// parse_manifest reads bytes off the network: every mutation of a valid
+// HELLO body (byte flips, truncations, an out-of-range enum byte) parses
+// or throws CorruptStream — no other exception, crash or sanitizer report.
+TEST(FederationTest, MutatedManifestParsesOrIsCorrupt) {
+  RunManifest manifest;
+  manifest.codec_spec = kSpec;
+  manifest.dataset = DatasetSpec{"cifar10", 7, kTake};
+  manifest.model = tiny_model();
+  manifest.config = base_config(parse_codec_spec(
+      "fedsz:eb=rel:1e-2,topology=hier:2x2,shard=shuffled,"
+      "population=mixed:seed=9"));
+  manifest.config.topology.backhaul_heterogeneous =
+      net::HeterogeneousNetworkConfig{};
+  const Bytes valid = serialize_manifest(manifest);
+  ASSERT_NO_THROW(parse_manifest({valid.data(), valid.size()}));
+
+  std::mt19937 rng(20261018);
+  std::uniform_int_distribution<std::size_t> position(0, valid.size() - 1);
+  std::uniform_int_distribution<int> mask(1, 255);
+  for (int i = 0; i < 4000; ++i) {
+    Bytes mutated = valid;
+    for (int flips = 1 + i % 3; flips > 0; --flips)
+      mutated[position(rng)] ^= static_cast<std::uint8_t>(mask(rng));
+    try {
+      (void)parse_manifest({mutated.data(), mutated.size()});
+    } catch (const CorruptStream&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "mutation " << i << ": " << error.what();
+    }
+  }
+  for (std::size_t keep = 0; keep < valid.size(); ++keep)
+    EXPECT_THROW(parse_manifest({valid.data(), keep}), CorruptStream)
+        << "truncated to " << keep;
+
+  // Each enum's byte is where a one-field change moves the bytes; one past
+  // its last value must be refused, not cast.
+  struct EnumCase {
+    const char* name;
+    std::function<void(RunManifest&)> change;
+    std::uint8_t out_of_range;
+  };
+  const std::vector<EnumCase> cases = {
+      {"model scale",
+       [](RunManifest& m) { m.model.scale = nn::ModelScale::kPaper; }, 3},
+      {"downlink mode",
+       [](RunManifest& m) { m.config.downlink_mode = DownlinkMode::kDelta; },
+       2},
+      {"topology mode",
+       [](RunManifest& m) { m.config.topology.mode = TopologyMode::kFlat; },
+       2},
+      {"edge mode",
+       [](RunManifest& m) {
+         m.config.topology.edge_mode = EdgeMode::kBuffered;
+       },
+       2},
+      {"sharding",
+       [](RunManifest& m) {
+         m.config.topology.sharding = ShardStrategy::kContiguous;
+       },
+       2},
+      {"link distribution",
+       [](RunManifest& m) {
+         m.config.topology.backhaul_heterogeneous->distribution =
+             net::LinkDistribution::kTwoTier;
+       },
+       3},
+      {"availability",
+       [](RunManifest& m) {
+         m.config.population.availability = AvailabilityMode::kAlways;
+       },
+       3},
+  };
+  for (const EnumCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    RunManifest changed = manifest;
+    c.change(changed);
+    const Bytes moved = serialize_manifest(changed);
+    ASSERT_EQ(moved.size(), valid.size());
+    std::vector<std::size_t> diff;
+    for (std::size_t k = 0; k < valid.size(); ++k)
+      if (moved[k] != valid[k]) diff.push_back(k);
+    ASSERT_EQ(diff.size(), 1u);
+    Bytes bad = valid;
+    bad[diff[0]] = c.out_of_range;
+    EXPECT_THROW(parse_manifest({bad.data(), bad.size()}), CorruptStream);
   }
 }
 

@@ -1,8 +1,9 @@
 // Campaign driver: one binary that runs a full federated campaign either
-// in-process (FlCoordinator — flat or hierarchical, checkpoint/resume
-// supported) or distributed (FederatedRoot + one fedsz_edge_worker process
-// per tier-1 edge, selected by a transport=tcp:<port> comm key in the
-// codec spec).
+// in-process (FlCoordinator — flat or hierarchical) or distributed
+// (FederatedRoot + one fedsz_edge_worker process per tier-1 edge, selected
+// by a transport=tcp:<port> comm key in the codec spec). Both checkpoint
+// and resume (a distributed run refuses checkpoint= with ef=on or
+// edgeef=on, whose residuals live in the workers).
 //
 //   # in-process, checkpointed every round, resumable after a crash:
 //   ./build/fedsz_campaign --clients 8 --rounds 6
