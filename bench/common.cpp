@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -258,6 +259,40 @@ Bytes lossless_partition_bytes(const StateDict& dict, std::size_t threshold) {
     if (!core::is_lossy_entry(name, tensor.numel(), threshold))
       partition.set(name, tensor);
   return partition.serialize();
+}
+
+TrialStats trial_stats(std::vector<double> samples) {
+  TrialStats stats;
+  stats.samples = samples.size();
+  if (samples.empty()) return stats;
+  std::sort(samples.begin(), samples.end());
+  // Linear interpolation between order statistics.
+  auto quantile = [&](double q) {
+    const double pos = q * static_cast<double>(samples.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, samples.size() - 1);
+    return samples[lo] + (pos - static_cast<double>(lo)) *
+                             (samples[hi] - samples[lo]);
+  };
+  stats.median = quantile(0.5);
+  stats.q1 = quantile(0.25);
+  stats.q3 = quantile(0.75);
+  return stats;
+}
+
+std::vector<TrialStats> interleaved_trials(
+    std::size_t cases, int trials,
+    const std::function<double(std::size_t)>& run_case) {
+  std::vector<std::vector<double>> seconds(cases);
+  for (std::size_t i = 0; i < cases; ++i) (void)run_case(i);  // warm-up
+  for (int t = 0; t < trials; ++t)
+    for (std::size_t i = 0; i < cases; ++i)
+      seconds[i].push_back(run_case(i));
+  std::vector<TrialStats> stats;
+  stats.reserve(cases);
+  for (std::vector<double>& s : seconds)
+    stats.push_back(trial_stats(std::move(s)));
+  return stats;
 }
 
 CodecTiming measure_lossy(const lossy::LossyCodec& codec,

@@ -6,6 +6,7 @@
 // trained (spiky, zero-centred) weights without re-paying training time.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -113,6 +114,29 @@ struct CodecTiming {
                : 0.0;
   }
 };
+
+// ---- repeated timings ----
+
+/// Median and quartiles of a set of timings.
+struct TrialStats {
+  double median = 0.0;
+  double q1 = 0.0;
+  double q3 = 0.0;
+  std::size_t samples = 0;
+  /// Interquartile range relative to the median (0 when the median is 0).
+  double spread() const { return median > 0.0 ? (q3 - q1) / median : 0.0; }
+};
+
+TrialStats trial_stats(std::vector<double> samples);
+
+/// Interleaved trials: `trials` passes, each calling run_case(i) once for
+/// every case i in order, so slow host drift lands on all cases alike
+/// instead of on whichever case ran last. A first warm-up pass is not
+/// kept. run_case returns the seconds of the work it timed; the result
+/// holds one TrialStats per case.
+std::vector<TrialStats> interleaved_trials(
+    std::size_t cases, int trials,
+    const std::function<double(std::size_t)>& run_case);
 
 CodecTiming measure_lossy(const lossy::LossyCodec& codec,
                           std::span<const float> data,

@@ -1143,7 +1143,7 @@ struct FlCoordinator::Pump {
   }
 
   void close_round() {
-    finish_round(record, server_, queue.now(), config_, *test_);
+    finish_round(record, server_, queue.now(), config_, *test_, &pool);
     result.rounds.push_back(std::move(record));
     ++completed;
     if (!config_.checkpoint_path.empty() &&

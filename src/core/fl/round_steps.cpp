@@ -230,7 +230,8 @@ void account_partial(RoundRecord& record, EdgeTraceEntry trace) {
 }
 
 void finish_round(RoundRecord& record, FlServer& server, double virtual_now,
-                  const FlRunConfig& config, const data::Dataset& test) {
+                  const FlRunConfig& config, const data::Dataset& test,
+                  ThreadPool* pool) {
   if (record.participants == 0) {
     server.abort_round();
   } else {
@@ -261,7 +262,7 @@ void finish_round(RoundRecord& record, FlServer& server, double virtual_now,
   record.virtual_seconds = virtual_now;
   if (config.evaluate_every_round || record.round + 1 == config.rounds) {
     Timer eval_timer;
-    record.accuracy = server.evaluate(test, config.eval_limit);
+    record.accuracy = server.evaluate(test, config.eval_limit, pool);
     record.eval_seconds = eval_timer.seconds();
   }
 }

@@ -185,8 +185,10 @@ class RemoteEdges {
 
 /// Aborts the round when nobody was aggregated (the global stays put), else
 /// finalizes it; turns the participant and merged-partial sums into means,
-/// stamps the virtual clock, and evaluates on `test` when due.
+/// stamps the virtual clock, and evaluates on `test` when due, splitting
+/// each evaluation batch over `pool` when one is given.
 void finish_round(RoundRecord& record, FlServer& server, double virtual_now,
-                  const FlRunConfig& config, const data::Dataset& test);
+                  const FlRunConfig& config, const data::Dataset& test,
+                  ThreadPool* pool);
 
 }  // namespace fedsz::core

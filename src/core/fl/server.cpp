@@ -46,29 +46,48 @@ void FlServer::aggregate(
 }
 
 double FlServer::evaluate(const data::Dataset& test_set, std::size_t limit,
-                          std::size_t batch_size) {
+                          ThreadPool* pool, std::size_t batch_size) {
   const std::size_t count =
       limit == 0 ? test_set.size() : std::min(limit, test_set.size());
   if (count == 0) return 0.0;
-  model_.load_state_dict(global_state_);
-  std::size_t done = 0;
-  double correct_weighted = 0.0;
-  while (done < count) {
-    const std::size_t take = std::min(batch_size, count - done);
-    const Shape img = test_set.image_shape();
+  // Every writer of global_state_ also loads it into model_, so the model
+  // already holds the global state here.
+  const Shape img = test_set.image_shape();
+  const std::size_t sample_numel = shape_numel(img);
+  // Correct predictions among samples [first, first + take).
+  auto correct_in = [&](std::size_t first, std::size_t take) {
     Tensor images({static_cast<std::int64_t>(take), img[0], img[1], img[2]});
     std::vector<int> labels(take);
-    const std::size_t sample_numel = shape_numel(img);
     for (std::size_t i = 0; i < take; ++i) {
-      const data::Sample sample = test_set.get(done + i);
+      const data::Sample sample = test_set.get(first + i);
       std::memcpy(images.data() + i * sample_numel, sample.image.data(),
                   sample_numel * sizeof(float));
       labels[i] = sample.label;
     }
     const Tensor logits = model_.forward(images, /*training=*/false);
-    correct_weighted +=
-        nn::top1_accuracy(logits, {labels.data(), labels.size()}) *
-        static_cast<double>(take);
+    return nn::top1_correct(logits, {labels.data(), labels.size()});
+  };
+  std::size_t done = 0;
+  double correct_weighted = 0.0;
+  while (done < count) {
+    const std::size_t take = std::min(batch_size, count - done);
+    const std::size_t parts = pool ? std::min(pool->size(), take) : 1;
+    std::size_t correct = 0;
+    if (parts <= 1) {
+      correct = correct_in(done, take);
+    } else {
+      const std::size_t per_part = (take + parts - 1) / parts;
+      std::vector<std::size_t> counts(parts, 0);
+      pool->parallel_for(parts, [&](std::size_t p) {
+        const std::size_t first = p * per_part;
+        if (first < take)
+          counts[p] =
+              correct_in(done + first, std::min(per_part, take - first));
+      });
+      for (const std::size_t c : counts) correct += c;
+    }
+    correct_weighted += static_cast<double>(correct) /
+                        static_cast<double>(take) * static_cast<double>(take);
     done += take;
   }
   return correct_weighted / static_cast<double>(count);

@@ -9,6 +9,7 @@
 #include "core/fl/aggregator.hpp"
 #include "data/dataset.hpp"
 #include "nn/models.hpp"
+#include "util/thread_pool.hpp"
 
 namespace fedsz::core {
 
@@ -50,9 +51,13 @@ class FlServer {
   void aggregate(const std::vector<std::pair<StateDict, std::size_t>>& updates);
 
   /// Top-1 accuracy of the global model on (up to `limit` samples of) a
-  /// dataset; limit 0 = all.
+  /// dataset; limit 0 = all. With a `pool`, each batch's samples are split
+  /// over its workers, all running eval forwards on the one model (those are
+  /// state-free); at most `batch_size` samples are in flight, and the
+  /// per-batch correct counts combine in batch order, so the result is
+  /// bit-identical to the serial run.
   double evaluate(const data::Dataset& test_set, std::size_t limit = 0,
-                  std::size_t batch_size = 64);
+                  ThreadPool* pool = nullptr, std::size_t batch_size = 64);
 
  private:
   nn::Model model_;

@@ -28,10 +28,9 @@ class BatchNorm2d final : public Module {
   Tensor running_mean_, running_var_;
   Tensor num_batches_tracked_;            // scalar counter buffer
 
-  // Backward caches (training-mode statistics).
+  // Backward caches, written by a training forward only.
   Tensor cached_input_;
   std::vector<float> batch_mean_, batch_inv_std_;
-  bool was_training_ = false;
 };
 
 }  // namespace fedsz::nn

@@ -1,7 +1,16 @@
 // 2D convolution over NCHW tensors with stride, zero padding and grouped
 // channels (groups == in_channels gives the depthwise convolutions of
-// MobileNetV2). Direct-loop implementation: the reproduction's models are
-// deliberately laptop-scale, so clarity wins over an im2col/GEMM path.
+// MobileNetV2). Dense convolutions run on the panel kernel (nn/kernels.hpp):
+// forward through per-image im2col rows (1x1 stride-1 reads the image as
+// is), weight grad through the transposed im2col, input grad through a
+// gradient-side im2col against the packed weights. Grouped and depthwise
+// convolutions slide each tap along whole output rows. Every output keeps
+// the reduction order of the direct loops, so results are bit-identical:
+//   forward      bias, then += (sum of the taps in (kh, kw) order from
+//                +0.0f) per input channel, ascending;
+//   weight grad  (n, ho, wo) ascending;
+//   input grad   oc ascending, within one oc the taps in (kh desc, kw desc)
+//                order, i.e. (ho, wo) ascending.
 #pragma once
 
 #include "nn/module.hpp"

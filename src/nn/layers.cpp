@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "nn/kernels.hpp"
 
 namespace fedsz::nn {
 
@@ -87,26 +90,27 @@ Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng)
   kaiming_uniform(bias_, in_, rng);
 }
 
-Tensor Linear::forward(const Tensor& input, bool /*training*/) {
+Tensor Linear::forward(const Tensor& input, bool training) {
   if (input.rank() != 2 || input.dim(1) != in_)
     throw InvalidArgument("Linear: expected input {N, " + std::to_string(in_) +
                           "}, got " + input.shape_string());
-  cached_input_ = input;
   const std::int64_t batch = input.dim(0);
+  // y[n][o] = bias[o] + sum_i x[n][i] * w[o][i], i ascending: the panel
+  // kernel computes y^T = W x^T across the batch, each row started from its
+  // bias, so only the small x and y are transposed.
+  float* xt = kernels::scratch(kernels::Scratch::kColsT,
+                               static_cast<std::size_t>(in_ * batch));
+  float* yt = kernels::scratch(kernels::Scratch::kPack,
+                               static_cast<std::size_t>(out_ * batch));
+  kernels::transpose(input.data(), batch, in_, in_, xt);
+  for (std::int64_t o = 0; o < out_; ++o)
+    std::fill(yt + o * batch, yt + (o + 1) * batch,
+              bias_[static_cast<std::size_t>(o)]);
+  kernels::panel(out_, batch, in_, 0, weight_.data(), in_, xt, batch, yt,
+                 batch);
   Tensor out({batch, out_});
-  const float* x = input.data();
-  const float* w = weight_.data();
-  float* y = out.data();
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const float* xn = x + n * in_;
-    float* yn = y + n * out_;
-    for (std::int64_t o = 0; o < out_; ++o) {
-      const float* wo = w + o * in_;
-      float acc = bias_[static_cast<std::size_t>(o)];
-      for (std::int64_t i = 0; i < in_; ++i) acc += xn[i] * wo[i];
-      yn[o] = acc;
-    }
-  }
+  kernels::transpose(yt, out_, batch, batch, out.data());
+  if (training) cached_input_ = input;
   return out;
 }
 
@@ -122,21 +126,15 @@ Tensor Linear::backward(const Tensor& grad_output) {
   float* gx = grad_input.data();
   float* gw = weight_grad_.data();
   float* gb = bias_grad_.data();
-  for (std::int64_t n = 0; n < batch; ++n) {
-    const float* xn = x + n * in_;
-    const float* gn = g + n * out_;
-    float* gxn = gx + n * in_;
-    for (std::int64_t o = 0; o < out_; ++o) {
-      const float go = gn[o];
-      gb[o] += go;
-      const float* wo = w + o * in_;
-      float* gwo = gw + o * in_;
-      for (std::int64_t i = 0; i < in_; ++i) {
-        gwo[i] += go * xn[i];
-        gxn[i] += go * wo[i];
-      }
-    }
-  }
+  for (std::int64_t n = 0; n < batch; ++n)
+    for (std::int64_t o = 0; o < out_; ++o) gb[o] += g[n * out_ + o];
+  // gw[o][i] += g[n][o] * x[n][i] over n ascending; gx[n][i] sums
+  // g[n][o] * w[o][i] over o ascending.
+  float* gt = kernels::scratch(kernels::Scratch::kPack,
+                               static_cast<std::size_t>(batch * out_));
+  kernels::transpose(g, batch, out_, out_, gt);
+  kernels::panel(out_, in_, batch, 0, gt, batch, x, in_, gw, in_);
+  kernels::panel(batch, in_, out_, 0, g, out_, w, in_, gx, in_);
   return grad_input;
 }
 
@@ -148,18 +146,23 @@ void Linear::collect(const std::string& prefix, std::vector<ParamRef>& params,
 
 // ---- ReLU / ReLU6 ----
 
-Tensor ReLU::forward(const Tensor& input, bool /*training*/) {
-  Tensor out = input;
-  pass_mask_.assign(input.numel(), 0);
-  for (std::size_t i = 0; i < out.numel(); ++i) {
-    float v = out[i];
-    if (v < 0.0f) {
-      out[i] = 0.0f;
-    } else if (clamp_ > 0.0f && v > clamp_) {
-      out[i] = clamp_;
-    } else {
-      pass_mask_[i] = 1;
-    }
+Tensor ReLU::forward(const Tensor& input, bool training) {
+  // Negative values become +0.0f, values above the clamp become the clamp;
+  // everything else (-0.0f and NaN included) passes unchanged.
+  const float hi =
+      clamp_ > 0.0f ? clamp_ : std::numeric_limits<float>::infinity();
+  const std::size_t count = input.numel();
+  const float* x = input.data();
+  Tensor out(input.shape());
+  float* y = out.data();
+  for (std::size_t i = 0; i < count; ++i) {
+    const float v = x[i] < 0.0f ? 0.0f : x[i];
+    y[i] = v > hi ? hi : v;
+  }
+  if (training) {
+    pass_mask_.resize(count);
+    for (std::size_t i = 0; i < count; ++i)
+      pass_mask_[i] = static_cast<std::uint8_t>(!(x[i] < 0.0f) & !(x[i] > hi));
   }
   return out;
 }
@@ -168,8 +171,9 @@ Tensor ReLU::backward(const Tensor& grad_output) {
   if (grad_output.numel() != pass_mask_.size())
     throw InvalidArgument("ReLU::backward: size mismatch");
   Tensor grad = grad_output;
+  float* g = grad.data();
   for (std::size_t i = 0; i < grad.numel(); ++i)
-    if (!pass_mask_[i]) grad[i] = 0.0f;
+    g[i] = pass_mask_[i] ? g[i] : 0.0f;
   return grad;
 }
 
@@ -180,16 +184,18 @@ MaxPool2d::MaxPool2d(int kernel, int stride) : kernel_(kernel), stride_(stride) 
     throw InvalidArgument("MaxPool2d: kernel and stride must be positive");
 }
 
-Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2d::forward(const Tensor& input, bool training) {
   if (input.rank() != 4) throw InvalidArgument("MaxPool2d: expected NCHW");
-  input_shape_ = input.shape();
   const std::int64_t N = input.dim(0), C = input.dim(1), H = input.dim(2),
                      W = input.dim(3);
   const std::int64_t Ho = (H - kernel_) / stride_ + 1;
   const std::int64_t Wo = (W - kernel_) / stride_ + 1;
   if (Ho <= 0 || Wo <= 0) throw InvalidArgument("MaxPool2d: input too small");
   Tensor out({N, C, Ho, Wo});
-  argmax_.assign(out.numel(), 0);
+  if (training) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.numel(), 0);
+  }
   const float* x = input.data();
   float* y = out.data();
   std::size_t oi = 0;
@@ -211,8 +217,9 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*training*/) {
             }
           }
           y[oi] = best;
-          argmax_[oi] = static_cast<std::uint32_t>((n * C + c) * H * W +
-                                                   best_idx);
+          if (training)
+            argmax_[oi] = static_cast<std::uint32_t>((n * C + c) * H * W +
+                                                     best_idx);
         }
       }
     }
@@ -231,9 +238,9 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 
 // ---- GlobalAvgPool ----
 
-Tensor GlobalAvgPool::forward(const Tensor& input, bool /*training*/) {
+Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
   if (input.rank() != 4) throw InvalidArgument("GlobalAvgPool: expected NCHW");
-  input_shape_ = input.shape();
+  if (training) input_shape_ = input.shape();
   const std::int64_t N = input.dim(0), C = input.dim(1), H = input.dim(2),
                      W = input.dim(3);
   Tensor out({N, C, 1, 1});
@@ -270,9 +277,9 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
 
 // ---- Flatten ----
 
-Tensor Flatten::forward(const Tensor& input, bool /*training*/) {
+Tensor Flatten::forward(const Tensor& input, bool training) {
   if (input.rank() < 2) throw InvalidArgument("Flatten: rank must be >= 2");
-  input_shape_ = input.shape();
+  if (training) input_shape_ = input.shape();
   const std::int64_t batch = input.dim(0);
   const auto rest = static_cast<std::int64_t>(input.numel()) / batch;
   return input.reshaped({batch, rest});
@@ -291,7 +298,6 @@ Dropout::Dropout(float probability, std::uint64_t seed)
 }
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  was_training_ = training;
   if (!training || probability_ == 0.0f) return input;
   Tensor out = input;
   scale_mask_.assign(input.numel(), 0.0f);
@@ -308,7 +314,9 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!was_training_ || probability_ == 0.0f) return grad_output;
+  if (probability_ == 0.0f) return grad_output;
+  if (grad_output.numel() != scale_mask_.size())
+    throw InvalidArgument("Dropout::backward: size mismatch");
   Tensor grad = grad_output;
   for (std::size_t i = 0; i < grad.numel(); ++i) grad[i] *= scale_mask_[i];
   return grad;

@@ -96,7 +96,6 @@ class Dropout final : public Module {
   float probability_;
   Rng rng_;
   std::vector<float> scale_mask_;
-  bool was_training_ = false;
 };
 
 /// Uniform Kaiming-style initialization used by Linear/Conv2d:

@@ -4,14 +4,13 @@
 
 namespace fedsz::nn {
 
-double top1_accuracy(const Tensor& logits, std::span<const int> labels) {
+std::size_t top1_correct(const Tensor& logits, std::span<const int> labels) {
   if (logits.rank() != 2)
-    throw InvalidArgument("top1_accuracy: expected {N, C}");
+    throw InvalidArgument("top1_correct: expected {N, C}");
   const std::int64_t N = logits.dim(0), C = logits.dim(1);
   if (labels.size() != static_cast<std::size_t>(N))
-    throw InvalidArgument("top1_accuracy: label count mismatch");
-  if (N == 0) return 0.0;
-  std::int64_t correct = 0;
+    throw InvalidArgument("top1_correct: label count mismatch");
+  std::size_t correct = 0;
   for (std::int64_t n = 0; n < N; ++n) {
     const float* row = logits.data() + n * C;
     std::int64_t best = 0;
@@ -19,7 +18,13 @@ double top1_accuracy(const Tensor& logits, std::span<const int> labels) {
       if (row[c] > row[best]) best = c;
     if (best == labels[static_cast<std::size_t>(n)]) ++correct;
   }
-  return static_cast<double>(correct) / static_cast<double>(N);
+  return correct;
+}
+
+double top1_accuracy(const Tensor& logits, std::span<const int> labels) {
+  const std::size_t correct = top1_correct(logits, labels);
+  if (labels.empty()) return 0.0;
+  return static_cast<double>(correct) / static_cast<double>(labels.size());
 }
 
 }  // namespace fedsz::nn

@@ -8,6 +8,9 @@
 
 namespace fedsz::nn {
 
+/// Number of rows whose argmax matches the label.
+std::size_t top1_correct(const Tensor& logits, std::span<const int> labels);
+
 /// Fraction of rows whose argmax matches the label, in [0, 1].
 double top1_accuracy(const Tensor& logits, std::span<const int> labels);
 

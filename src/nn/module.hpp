@@ -32,8 +32,11 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  /// Forward pass. Modules cache whatever they need for backward(); a
-  /// backward() must therefore follow the matching forward().
+  /// Forward pass. A training forward (`training` true) caches what the
+  /// matching backward() needs, so a backward() must follow a training
+  /// forward. An eval forward is state-free: it reads parameters and buffers
+  /// and writes no member, so several threads may run eval forwards on one
+  /// module at once, as long as nothing mutates it meanwhile.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Backward pass: gradient w.r.t. this module's input. Parameter gradients

@@ -32,13 +32,14 @@ Tensor Residual::forward(const Tensor& input, bool training) {
                           shortcut_out.shape_string());
   main_out += shortcut_out;
   if (post_relu_) {
-    relu_mask_.assign(main_out.numel(), 0);
-    for (std::size_t i = 0; i < main_out.numel(); ++i) {
-      if (main_out[i] > 0.0f)
-        relu_mask_[i] = 1;
-      else
-        main_out[i] = 0.0f;
+    const std::size_t count = main_out.numel();
+    float* y = main_out.data();
+    if (training) {
+      relu_mask_.resize(count);
+      for (std::size_t i = 0; i < count; ++i)
+        relu_mask_[i] = static_cast<std::uint8_t>(y[i] > 0.0f);
     }
+    for (std::size_t i = 0; i < count; ++i) y[i] = y[i] > 0.0f ? y[i] : 0.0f;
   }
   return main_out;
 }
@@ -46,8 +47,11 @@ Tensor Residual::forward(const Tensor& input, bool training) {
 Tensor Residual::backward(const Tensor& grad_output) {
   Tensor g = grad_output;
   if (post_relu_) {
+    if (g.numel() != relu_mask_.size())
+      throw InvalidArgument("Residual::backward: size mismatch");
+    float* gp = g.data();
     for (std::size_t i = 0; i < g.numel(); ++i)
-      if (!relu_mask_[i]) g[i] = 0.0f;
+      gp[i] = relu_mask_[i] ? gp[i] : 0.0f;
   }
   Tensor grad_input = main_->backward(g);
   if (shortcut_) {
