@@ -1,6 +1,7 @@
 #include "nn/conv.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "nn/kernels.hpp"
 #include "nn/layers.hpp"
@@ -9,9 +10,7 @@ namespace fedsz::nn {
 
 namespace {
 
-using kernels::Scratch;
-
-/// Floats of gradient columns built at once in Conv2d::backward.
+/// Floats of gradient columns Conv2d::backward builds at once.
 constexpr std::int64_t kColsBudget = 32 * 1024;
 
 /// Output indices o in [lo, hi) whose input index o * stride - pad + tap
@@ -34,7 +33,18 @@ struct Geometry {
   int k, s, p;
   std::int64_t in_plane() const { return H * W; }
   std::int64_t out_plane() const { return Ho * Wo; }
+  std::int64_t frame_w() const { return W + 2 * p; }
+  std::int64_t frame_plane() const { return (H + 2 * p) * frame_w(); }
 };
+
+/// x's plane in the middle of a zero frame padded by p on every side, so
+/// every kernel window lies inside the frame.
+void pad_plane(const float* x, const Geometry& g, float* frame) {
+  const std::int64_t fw = g.frame_w();
+  std::fill(frame, frame + g.frame_plane(), 0.0f);
+  for (std::int64_t h = 0; h < g.H; ++h)
+    std::copy(x + h * g.W, x + (h + 1) * g.W, frame + (h + g.p) * fw + g.p);
+}
 
 /// cols[(c * k + kh) * k + kw][ho * Wo + wo] = x[c][ho*s-p+kh][wo*s-p+kw],
 /// zero where the window leaves the image.
@@ -132,6 +142,10 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
   const std::int64_t in_plane = geo.in_plane(), out_plane = geo.out_plane();
   const bool pointwise = kernel_ == 1 && stride_ == 1 && padding_ == 0;
   const float* w = weight_.data();
+  // Per-call buffers sized by one image: im2col rows (dense) or the
+  // zero-padded input plane (grouped).
+  std::vector<float> cols(groups_ == 1 && !pointwise ? depth * out_plane : 0);
+  std::vector<float> frame(groups_ > 1 ? geo.frame_plane() : 0);
 
   for (std::int64_t n = 0; n < N; ++n) {
     const float* xn = input.data() + n * in_channels_ * in_plane;
@@ -144,44 +158,23 @@ Tensor Conv2d::forward(const Tensor& input, bool training) {
                 (has_bias_ ? bias_[static_cast<std::size_t>(oc)] : 0.0f) +
                     0.0f);
     if (groups_ == 1) {
-      const float* cols = xn;
-      if (!pointwise) {
-        float* buffer =
-            kernels::scratch(Scratch::kCols,
-                             static_cast<std::size_t>(depth * out_plane));
-        im2col(xn, in_channels_, geo, buffer);
-        cols = buffer;
-      }
+      if (!pointwise) im2col(xn, in_channels_, geo, cols.data());
       kernels::panel(out_channels_, out_plane, depth, kernel_ == 1 ? 0 : kk,
-                     w, depth, cols, out_plane, yn, out_plane);
+                     w, depth, pointwise ? xn : cols.data(), out_plane, yn,
+                     out_plane);
       continue;
     }
-    // Grouped and depthwise: each output channel sums its group's input
-    // channels, each as one kernel-window sum from +0.0f. A tap's window
-    // slides along whole output rows, so the inner loop is branch-free.
-    float* acc = kernels::scratch(Scratch::kRow,
-                                  static_cast<std::size_t>(out_plane));
+    // Grouped and depthwise: each output channel adds its group's input
+    // channels, each as one kernel-window sum from +0.0f, taken over a
+    // zero-padded copy of the plane (padding taps add exact zeros).
     for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
       const std::int64_t grp = oc / cout_per_group;
-      float* yp = yn + oc * out_plane;
       for (std::int64_t ic = 0; ic < cin_per_group; ++ic) {
-        const float* xp = xn + (grp * cin_per_group + ic) * in_plane;
-        const float* wp = w + (oc * cin_per_group + ic) * kk;
-        std::fill(acc, acc + out_plane, 0.0f);
-        for (int kh = 0; kh < kernel_; ++kh) {
-          const Span rows = valid_outputs(kh, stride_, padding_, H, Ho);
-          for (int kw = 0; kw < kernel_; ++kw) {
-            const Span span = valid_outputs(kw, stride_, padding_, W, Wo);
-            const float wv = wp[kh * kernel_ + kw];
-            for (std::int64_t ho = rows.lo; ho < rows.hi; ++ho) {
-              const float* xr = xp + (ho * stride_ - padding_ + kh) * W;
-              float* ar = acc + ho * Wo;
-              for (std::int64_t wo = span.lo; wo < span.hi; ++wo)
-                ar[wo] += wv * xr[wo * stride_ - padding_ + kw];
-            }
-          }
-        }
-        for (std::int64_t i = 0; i < out_plane; ++i) yp[i] += acc[i];
+        pad_plane(xn + (grp * cin_per_group + ic) * in_plane, geo,
+                  frame.data());
+        kernels::window_sums(frame.data(), geo.frame_w(),
+                             w + (oc * cin_per_group + ic) * kk, kernel_,
+                             stride_, Ho, Wo, yn + oc * out_plane);
       }
     }
   }
@@ -230,57 +223,56 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     // [ic][oc][reversed tap] so each input pixel sums oc ascending and,
     // within one oc, its taps in the order the direct loop met them.
     const std::int64_t gx_depth = out_channels_ * kk;
-    float* packed = kernels::scratch(
-        Scratch::kPack, static_cast<std::size_t>(in_channels_ * gx_depth));
+    std::vector<float> packed(in_channels_ * gx_depth);
     for (std::int64_t ic = 0; ic < in_channels_; ++ic)
       for (std::int64_t oc = 0; oc < out_channels_; ++oc)
         for (std::int64_t t = 0; t < kk; ++t)
           packed[ic * gx_depth + oc * kk + (kk - 1 - t)] =
               w[(oc * in_channels_ + ic) * kk + t];
-    float* cols_t = kernels::scratch(
-        Scratch::kColsT, static_cast<std::size_t>(depth * out_plane));
+    // Grad-input columns are built a block of output channels at a time;
+    // the blocks run oc ascending into the same gx, so each pixel keeps its
+    // order while the buffer stays small.
+    const std::int64_t block = std::clamp<std::int64_t>(
+        kColsBudget / (kk * in_plane), 1, out_channels_);
+    std::vector<float> cols_t(depth * out_plane);
+    std::vector<float> cols(pointwise ? 0 : depth * out_plane);
+    std::vector<float> gcols(pointwise ? 0 : block * kk * in_plane);
     for (std::int64_t n = 0; n < N; ++n) {
       const float* xn = x + n * in_channels_ * in_plane;
       const float* gn = g + n * out_channels_ * out_plane;
       // Weight grad: gw[oc][(ic, tap)] over this image's (ho, wo) ascending.
       if (pointwise) {
-        kernels::transpose(xn, in_channels_, in_plane, in_plane, cols_t);
+        kernels::transpose(xn, in_channels_, in_plane, in_plane,
+                           cols_t.data());
       } else {
-        float* cols = kernels::scratch(
-            Scratch::kCols, static_cast<std::size_t>(depth * out_plane));
-        im2col(xn, in_channels_, geo, cols);
-        kernels::transpose(cols, depth, out_plane, out_plane, cols_t);
+        im2col(xn, in_channels_, geo, cols.data());
+        kernels::transpose(cols.data(), depth, out_plane, out_plane,
+                           cols_t.data());
       }
-      kernels::panel(out_channels_, depth, out_plane, 0, gn, out_plane, cols_t,
-                     depth, gw, depth);
-      // Grad input, in blocks of output channels: the blocks run oc
-      // ascending into the same gx, so each pixel keeps its order, and the
-      // gradient columns stay within a small per-thread buffer.
+      kernels::panel(out_channels_, depth, out_plane, 0, gn, out_plane,
+                     cols_t.data(), depth, gw, depth);
       float* gxn = gx + n * in_channels_ * in_plane;
       if (pointwise) {
-        kernels::panel(in_channels_, in_plane, gx_depth, 0, packed, gx_depth,
-                       gn, in_plane, gxn, in_plane);
+        kernels::panel(in_channels_, in_plane, gx_depth, 0, packed.data(),
+                       gx_depth, gn, in_plane, gxn, in_plane);
         continue;
       }
-      const std::int64_t block =
-          std::clamp<std::int64_t>(kColsBudget / (kk * in_plane), 1,
-                                   out_channels_);
-      float* gcols = kernels::scratch(
-          Scratch::kCols, static_cast<std::size_t>(block * kk * in_plane));
       for (std::int64_t oc = 0; oc < out_channels_; oc += block) {
         const std::int64_t count = std::min(block, out_channels_ - oc);
-        grad_cols(gn, oc, count, geo, gcols);
+        grad_cols(gn, oc, count, geo, gcols.data());
         kernels::panel(in_channels_, in_plane, count * kk, 0,
-                       packed + oc * kk, gx_depth, gcols, in_plane, gxn,
-                       in_plane);
+                       packed.data() + oc * kk, gx_depth, gcols.data(),
+                       in_plane, gxn, in_plane);
       }
     }
     return grad_input;
   }
 
   // Grouped and depthwise, one (oc, ic) window at a time. Weight grads sum
-  // (ho, wo) ascending per tap; grad-input takes taps in reverse so every
-  // input pixel sees them in the order the output positions ascend.
+  // (ho, wo) ascending per tap over the zero-padded plane; grad-input takes
+  // taps in reverse so every input pixel sees them in the order the output
+  // positions ascend.
+  std::vector<float> frame(geo.frame_plane());
   for (std::int64_t n = 0; n < N; ++n) {
     for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
       const std::int64_t grp = oc / cout_per_group;
@@ -290,21 +282,10 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
         const float* xp = x + (n * in_channels_ + in_c) * in_plane;
         float* gxp = gx + (n * in_channels_ + in_c) * in_plane;
         const float* wp = w + (oc * cin_per_group + ic) * kk;
-        float* gwp = gw + (oc * cin_per_group + ic) * kk;
-        for (int kh = 0; kh < kernel_; ++kh) {
-          const Span rows = valid_outputs(kh, stride_, padding_, H, Ho);
-          for (int kw = 0; kw < kernel_; ++kw) {
-            const Span span = valid_outputs(kw, stride_, padding_, W, Wo);
-            float acc = gwp[kh * kernel_ + kw];
-            for (std::int64_t ho = rows.lo; ho < rows.hi; ++ho) {
-              const float* xr = xp + (ho * stride_ - padding_ + kh) * W;
-              const float* gr = gp + ho * Wo;
-              for (std::int64_t wo = span.lo; wo < span.hi; ++wo)
-                acc += gr[wo] * xr[wo * stride_ - padding_ + kw];
-            }
-            gwp[kh * kernel_ + kw] = acc;
-          }
-        }
+        pad_plane(xp, geo, frame.data());
+        kernels::window_grads(frame.data(), geo.frame_w(), gp, kernel_,
+                              stride_, Ho, Wo,
+                              gw + (oc * cin_per_group + ic) * kk);
         for (int kh = kernel_ - 1; kh >= 0; --kh) {
           const Span rows = valid_outputs(kh, stride_, padding_, H, Ho);
           for (int kw = kernel_ - 1; kw >= 0; --kw) {

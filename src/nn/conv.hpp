@@ -4,7 +4,8 @@
 // forward through per-image im2col rows (1x1 stride-1 reads the image as
 // is), weight grad through the transposed im2col, input grad through a
 // gradient-side im2col against the packed weights. Grouped and depthwise
-// convolutions slide each tap along whole output rows. Every output keeps
+// convolutions run window kernels over a zero-padded copy of each input
+// plane (grad-input slides each tap along whole rows). Every output keeps
 // the reduction order of the direct loops, so results are bit-identical:
 //   forward      bias, then += (sum of the taps in (kh, kw) order from
 //                +0.0f) per input channel, ascending;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <vector>
 
 namespace fedsz::nn::kernels {
 
@@ -153,11 +152,77 @@ void panel(std::int64_t M, std::int64_t N, std::int64_t K, std::int64_t taps,
   }
 }
 
-float* scratch(Scratch slot, std::size_t count) {
-  thread_local std::vector<float> buffers[4];
-  std::vector<float>& buffer = buffers[static_cast<int>(slot)];
-  if (buffer.size() < count) buffer.resize(count);
-  return buffer.data();
+namespace {
+
+// V * 4 neighbouring outputs of one window_sums row: V independent add
+// chains, so one tap's loads and products overlap the next.
+template <int V>
+void window_block(const float* base, std::int64_t frame_w, const float* w,
+                  int k, int s, float* o) {
+  f4 acc[V] = {};
+  for (int kh = 0; kh < k; ++kh) {
+    const float* row = base + kh * frame_w;
+    for (int kw = 0; kw < k; ++kw) {
+      const float wt = w[kh * k + kw];
+      const f4 wv = {wt, wt, wt, wt};
+      for (int v = 0; v < V; ++v) {
+        const float* p = row + 4 * v * s + kw;
+        const f4 xv =
+            s == 1 ? load(p) : f4{p[0], p[s], p[2 * s], p[3 * s]};
+        acc[v] += wv * xv;
+      }
+    }
+  }
+  for (int v = 0; v < V; ++v) store(o + 4 * v, load(o + 4 * v) + acc[v]);
+}
+
+}  // namespace
+
+void window_sums(const float* frame, std::int64_t frame_w, const float* w,
+                 int k, int s, std::int64_t rows, std::int64_t cols,
+                 float* out) {
+  for (std::int64_t oh = 0; oh < rows; ++oh) {
+    const float* base = frame + oh * s * frame_w;
+    float* o = out + oh * cols;
+    std::int64_t ow = 0;
+    for (; ow + 16 <= cols; ow += 16)
+      window_block<4>(base + ow * s, frame_w, w, k, s, o + ow);
+    for (; ow + 4 <= cols; ow += 4)
+      window_block<1>(base + ow * s, frame_w, w, k, s, o + ow);
+    for (; ow < cols; ++ow) {
+      float acc = 0.0f;
+      for (int kh = 0; kh < k; ++kh)
+        for (int kw = 0; kw < k; ++kw)
+          acc += w[kh * k + kw] * base[kh * frame_w + ow * s + kw];
+      o[ow] += acc;
+    }
+  }
+}
+
+void window_grads(const float* frame, std::int64_t frame_w, const float* g,
+                  int k, int s, std::int64_t rows, std::int64_t cols,
+                  float* gw) {
+  constexpr int kTaps = 16;  // add chains in flight at once
+  const int kk = k * k;
+  for (int t0 = 0; t0 < kk; t0 += kTaps) {
+    const int count = std::min(kTaps, kk - t0);
+    float acc[kTaps] = {};
+    std::int64_t offset[kTaps] = {};
+    for (int i = 0; i < count; ++i) {
+      acc[i] = gw[t0 + i];
+      offset[i] = (t0 + i) / k * frame_w + (t0 + i) % k;
+    }
+    for (std::int64_t oh = 0; oh < rows; ++oh) {
+      const float* base = frame + oh * s * frame_w;
+      const float* gr = g + oh * cols;
+      for (std::int64_t ow = 0; ow < cols; ++ow) {
+        const float go = gr[ow];
+        const float* p = base + ow * s;
+        for (int i = 0; i < count; ++i) acc[i] += go * p[offset[i]];
+      }
+    }
+    for (int i = 0; i < count; ++i) gw[t0 + i] = acc[i];
+  }
 }
 
 void transpose(const float* src, std::int64_t rows, std::int64_t cols,

@@ -9,11 +9,10 @@
 // accumulator starts at +0.0f, a bias or a gradient buffer that never holds
 // -0.0f, so adding them changes no bit.
 //
-// Scratch buffers are thread_local, grown on first use and sized by one
-// image, so concurrent eval forwards on one model never share them.
+// The kernels keep no state; callers pass per-call buffers sized by one
+// image, so concurrent eval forwards on one model share nothing writable.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace fedsz::nn::kernels {
@@ -31,11 +30,21 @@ void panel(std::int64_t M, std::int64_t N, std::int64_t K, std::int64_t taps,
            const float* A, std::int64_t lda, const float* B, std::int64_t ldb,
            float* C, std::int64_t ldc);
 
-/// Thread-local float scratch, one buffer per slot, grown on demand and
-/// never shrunk. A pointer stays valid until the same slot is asked for more
-/// on the same thread.
-enum class Scratch { kCols, kColsT, kPack, kRow };
-float* scratch(Scratch slot, std::size_t count);
+/// Kernel-window sums over a zero-padded frame `frame_w` floats wide, for
+/// a rows x cols output grid: out[oh * cols + ow] += (sum of
+/// w[kh * k + kw] * frame[(oh * s + kh) * frame_w + ow * s + kw] over the
+/// taps in (kh, kw) order, from +0.0f). Four neighbouring outputs share
+/// the loads of one pass over the taps.
+void window_sums(const float* frame, std::int64_t frame_w, const float* w,
+                 int k, int s, std::int64_t rows, std::int64_t cols,
+                 float* out);
+
+/// The weight grad of window_sums: gw[kh * k + kw] += g[oh * cols + ow] *
+/// frame[(oh * s + kh) * frame_w + ow * s + kw] over (oh, ow) ascending.
+/// The taps' add chains run side by side.
+void window_grads(const float* frame, std::int64_t frame_w, const float* g,
+                  int k, int s, std::int64_t rows, std::int64_t cols,
+                  float* gw);
 
 /// dst[c * rows + r] = src[r * ld + c] for r < rows, c < cols.
 void transpose(const float* src, std::int64_t rows, std::int64_t cols,

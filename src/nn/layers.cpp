@@ -98,18 +98,15 @@ Tensor Linear::forward(const Tensor& input, bool training) {
   // y[n][o] = bias[o] + sum_i x[n][i] * w[o][i], i ascending: the panel
   // kernel computes y^T = W x^T across the batch, each row started from its
   // bias, so only the small x and y are transposed.
-  float* xt = kernels::scratch(kernels::Scratch::kColsT,
-                               static_cast<std::size_t>(in_ * batch));
-  float* yt = kernels::scratch(kernels::Scratch::kPack,
-                               static_cast<std::size_t>(out_ * batch));
-  kernels::transpose(input.data(), batch, in_, in_, xt);
+  std::vector<float> xt(in_ * batch), yt(out_ * batch);
+  kernels::transpose(input.data(), batch, in_, in_, xt.data());
   for (std::int64_t o = 0; o < out_; ++o)
-    std::fill(yt + o * batch, yt + (o + 1) * batch,
+    std::fill(yt.begin() + o * batch, yt.begin() + (o + 1) * batch,
               bias_[static_cast<std::size_t>(o)]);
-  kernels::panel(out_, batch, in_, 0, weight_.data(), in_, xt, batch, yt,
-                 batch);
+  kernels::panel(out_, batch, in_, 0, weight_.data(), in_, xt.data(), batch,
+                 yt.data(), batch);
   Tensor out({batch, out_});
-  kernels::transpose(yt, out_, batch, batch, out.data());
+  kernels::transpose(yt.data(), out_, batch, batch, out.data());
   if (training) cached_input_ = input;
   return out;
 }
@@ -130,10 +127,9 @@ Tensor Linear::backward(const Tensor& grad_output) {
     for (std::int64_t o = 0; o < out_; ++o) gb[o] += g[n * out_ + o];
   // gw[o][i] += g[n][o] * x[n][i] over n ascending; gx[n][i] sums
   // g[n][o] * w[o][i] over o ascending.
-  float* gt = kernels::scratch(kernels::Scratch::kPack,
-                               static_cast<std::size_t>(batch * out_));
-  kernels::transpose(g, batch, out_, out_, gt);
-  kernels::panel(out_, in_, batch, 0, gt, batch, x, in_, gw, in_);
+  std::vector<float> gt(batch * out_);
+  kernels::transpose(g, batch, out_, out_, gt.data());
+  kernels::panel(out_, in_, batch, 0, gt.data(), batch, x, in_, gw, in_);
   kernels::panel(batch, in_, out_, 0, g, out_, w, in_, gx, in_);
   return grad_input;
 }
