@@ -1,13 +1,14 @@
 #include "core/codec_spec.hpp"
 
+#include <algorithm>
 #include <cerrno>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
+#include <string_view>
 
-#include "core/fl/population.hpp"
 #include "core/policy.hpp"
+#include "util/decimal.hpp"
 
 namespace fedsz::core {
 
@@ -45,12 +46,10 @@ std::string policy_options() {
 }
 
 double parse_double(const std::string& text, const std::string& key) {
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (text.empty() || end != text.c_str() + text.size() ||
-      !std::isfinite(value))
+  const std::optional<double> value = parse_decimal(text);
+  if (!value)
     bad_spec("'" + key + "' wants a finite number, got '" + text + "'");
-  return value;
+  return *value;
 }
 
 std::size_t parse_count(const std::string& text, const std::string& key,
@@ -83,17 +82,6 @@ std::size_t parse_count(const std::string& text, const std::string& key,
       value > std::numeric_limits<std::size_t>::max() / multiplier)
     bad_spec("'" + key + "' value out of range: '" + text + "'");
   return static_cast<std::size_t>(value) * multiplier;
-}
-
-/// Shortest decimal rendering that round-trips through strtod, so canonical
-/// spec strings stay both stable and readable.
-std::string format_double(double value) {
-  char buffer[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
 }
 
 lossy::ErrorBound parse_bound(const std::string& text) {
@@ -129,12 +117,35 @@ std::size_t backhaul_tier_of(const std::string& key) {
   return tier;
 }
 
+/// Every comm key, in canonical rendering order: the one list behind the
+/// comm-key test and the error messages. "backhaul<k>" stands for the
+/// per-tier overrides backhaul1=, backhaul2=, ...
+constexpr std::string_view kCommKeys[] = {
+    "downlink", "downmode", "ef", "topology", "backhaul", "backhaul<k>",
+    "edgemode", "edgeef", "shard", "transport", "checkpoint", "data",
+    "population"};
+
 bool is_comm_key(const std::string& key) {
-  return key == "downlink" || key == "downmode" || key == "ef" ||
-         key == "topology" || key == "backhaul" || key == "edgemode" ||
-         key == "edgeef" || key == "shard" || key == "transport" ||
-         key == "checkpoint" || key == "data" || key == "population" ||
-         backhaul_tier_of(key) != 0;
+  return backhaul_tier_of(key) != 0 ||
+         std::find(std::begin(kCommKeys), std::end(kCommKeys), key) !=
+             std::end(kCommKeys);
+}
+
+/// "downlink, downmode, ..., data or population" for error messages.
+std::string comm_key_list() {
+  std::string out;
+  const std::size_t count = std::size(kCommKeys);
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0) out += i + 1 == count ? " or " : ", ";
+    out += kCommKeys[i];
+  }
+  return out;
+}
+
+[[noreturn]] void unknown_key(const std::string& key) {
+  bad_spec("unknown key '" + key +
+           "' (expected lossy, lossless, eb, policy, sparsity, bits, chunk, "
+           "threads, threshold, " + comm_key_list() + ")");
 }
 
 /// Parse a nested codec spec (downlink=/backhaul= value, ';'-separated
@@ -157,8 +168,8 @@ std::string parse_inner_spec(const std::string& key,
   return format_codec_spec(parsed);
 }
 
-void apply_key(CodecSpec& spec, const std::string& key,
-               const std::string& value) {
+void apply_codec_key(CodecSpec& spec, const std::string& key,
+                     const std::string& value) {
   if (key == "lossy") {
     if (spec.sparse)
       bad_spec(
@@ -239,23 +250,40 @@ void apply_key(CodecSpec& spec, const std::string& key,
   } else if (key == "threshold") {
     spec.lossy_threshold =
         parse_count(value, "threshold", /*allow_suffix=*/false);
-  } else if (key == "downlink") {
-    spec.downlink = parse_inner_spec("downlink", value);
-  } else if (key == "backhaul") {
-    spec.backhaul = parse_inner_spec("backhaul", value);
-  } else if (const std::size_t tier = backhaul_tier_of(key); tier != 0) {
-    if (spec.tier_backhauls.size() < tier) spec.tier_backhauls.resize(tier);
-    spec.tier_backhauls[tier - 1] = parse_inner_spec(key, value);
+  } else {
+    unknown_key(key);
+  }
+}
+
+bool parse_on_off(const std::string& key, const std::string& value) {
+  if (value == "on") return true;
+  if (value == "off") return false;
+  bad_spec("'" + key + "' must be on or off, got '" + value + "'");
+}
+
+/// Parse one comm key straight into the run's own settings.
+void apply_comm_key(CommSettings& comm, const std::string& key,
+                    const std::string& value) {
+  TopologyConfig& topology = comm.topology;
+  if (key == "downlink") {
+    comm.downlink_spec = parse_inner_spec(key, value);
+  } else if (key == "downmode") {
+    if (value == "full")
+      comm.downlink_mode = DownlinkMode::kFull;
+    else if (value == "delta")
+      comm.downlink_mode = DownlinkMode::kDelta;
+    else
+      bad_spec("'downmode' must be full or delta, got '" + value + "'");
+  } else if (key == "ef") {
+    comm.error_feedback = parse_on_off(key, value);
   } else if (key == "topology") {
-    if (value == "flat") {
-      spec.hier_tiers.clear();
-    } else if (value.rfind("hier", 0) == 0) {
+    topology.tiers.clear();
+    if (value.rfind("hier", 0) == 0) {
       if (value.size() < 6 || value[4] != ':')
         bad_spec(
             "'topology=hier' wants fan-ins (topology=hier:<N>[x<M>...])");
       // 'x'-separated fan-ins, bottom-up: hier:32x16 = cohorts of 32 under
       // tier-1 edges, 16 edges per tier-2 node.
-      spec.hier_tiers.clear();
       const std::string body = value.substr(5);
       std::size_t pos = 0;
       while (pos <= body.size()) {
@@ -265,56 +293,61 @@ void apply_key(CodecSpec& spec, const std::string& key,
         const std::size_t fan =
             parse_count(part, "topology=hier", /*allow_suffix=*/true);
         if (fan == 0) bad_spec("'topology=hier' fan-ins must be >= 1");
-        spec.hier_tiers.push_back(fan);
+        topology.tiers.push_back(fan);
         if (sep == std::string::npos) break;
         pos = sep + 1;
       }
-    } else {
+    } else if (value != "flat") {
       bad_spec("'topology' must be flat or hier:<N>[x<M>...], got '" + value +
                "'");
     }
+    topology.mode =
+        topology.tiers.empty() ? TopologyMode::kFlat : TopologyMode::kHier;
+  } else if (key == "backhaul") {
+    topology.backhaul_spec = parse_inner_spec(key, value);
+  } else if (const std::size_t tier = backhaul_tier_of(key); tier != 0) {
+    // Entry k-1 overrides tier k; the list never grows past the last
+    // override (no trailing empties), so format∘parse stays idempotent.
+    std::vector<std::string>& specs = topology.tier_backhaul_specs;
+    if (specs.size() < tier) specs.resize(tier);
+    specs[tier - 1] = parse_inner_spec(key, value);
   } else if (key == "edgemode") {
     if (value == "sync") {
-      spec.edge_buffered = false;
-      spec.edge_buffer = 0;
+      topology.edge_mode = EdgeMode::kSync;
+      topology.edge_buffer = 0;
     } else if (value.rfind("buffered", 0) == 0) {
       if (value.size() < 10 || value[8] != ':')
         bad_spec(
             "'edgemode=buffered' wants a buffer size "
             "(edgemode=buffered:<K>)");
-      spec.edge_buffer = parse_count(value.substr(9), "edgemode=buffered",
-                                     /*allow_suffix=*/true);
-      if (spec.edge_buffer == 0)
+      topology.edge_buffer = parse_count(value.substr(9), "edgemode=buffered",
+                                         /*allow_suffix=*/true);
+      if (topology.edge_buffer == 0)
         bad_spec("'edgemode=buffered' buffer must be >= 1");
-      spec.edge_buffered = true;
+      topology.edge_mode = EdgeMode::kBuffered;
     } else {
       bad_spec("'edgemode' must be sync or buffered:<K>, got '" + value +
                "'");
     }
   } else if (key == "edgeef") {
-    if (value == "on")
-      spec.edge_error_feedback = true;
-    else if (value == "off")
-      spec.edge_error_feedback = false;
-    else
-      bad_spec("'edgeef' must be on or off, got '" + value + "'");
+    topology.edge_error_feedback = parse_on_off(key, value);
   } else if (key == "shard") {
     if (value == "contiguous")
-      spec.shard_shuffled = false;
+      topology.sharding = ShardStrategy::kContiguous;
     else if (value == "shuffled")
-      spec.shard_shuffled = true;
+      topology.sharding = ShardStrategy::kShuffled;
     else
       bad_spec("'shard' must be contiguous or shuffled, got '" + value + "'");
   } else if (key == "transport") {
     if (value == "inproc") {
-      spec.transport.clear();
+      comm.transport.clear();
     } else if (value.rfind("tcp", 0) == 0) {
       if (value.size() < 5 || value[3] != ':')
         bad_spec("'transport=tcp' wants a port (transport=tcp:<port>)");
       const std::size_t port =
           parse_count(value.substr(4), "transport=tcp", /*allow_suffix=*/false);
       if (port > 65535) bad_spec("'transport=tcp' port must be <= 65535");
-      spec.transport = "tcp:" + std::to_string(port);
+      comm.transport = "tcp:" + std::to_string(port);
     } else {
       bad_spec("'transport' must be inproc or tcp:<port>, got '" + value +
                "'");
@@ -326,17 +359,17 @@ void apply_key(CodecSpec& spec, const std::string& key,
     const std::size_t colon = value.rfind(':');
     if (colon == std::string::npos || colon == 0 || colon + 1 >= value.size())
       bad_spec("'checkpoint' wants <path>:<K>, got '" + value + "'");
-    spec.checkpoint_path = value.substr(0, colon);
-    spec.checkpoint_every =
+    comm.checkpoint_path = value.substr(0, colon);
+    comm.checkpoint_every =
         parse_count(value.substr(colon + 1), "checkpoint", /*allow_suffix=*/false);
-    if (spec.checkpoint_every == 0)
+    if (comm.checkpoint_every == 0)
       bad_spec("'checkpoint' interval must be >= 1");
   } else if (key == "data") {
     // '+'-composable parts: iid resets both skews, dirichlet:<alpha> and
     // sizeskew:<s> each set their own knob. Duplicated parts are rejected
     // so data=dirichlet:1+dirichlet:2 cannot silently last-write-win.
-    spec.dirichlet_alpha = 0.0;
-    spec.sizeskew_s = 0.0;
+    comm.dirichlet_alpha = 0.0;
+    comm.sizeskew_s = 0.0;
     bool saw_dirichlet = false;
     bool saw_sizeskew = false;
     std::size_t start = 0;
@@ -353,16 +386,16 @@ void apply_key(CodecSpec& spec, const std::string& key,
           bad_spec(
               "'data=dirichlet' wants a concentration "
               "(data=dirichlet:<alpha>)");
-        spec.dirichlet_alpha = parse_double(part.substr(10), "data=dirichlet");
-        if (!(spec.dirichlet_alpha > 0.0))
+        comm.dirichlet_alpha = parse_double(part.substr(10), "data=dirichlet");
+        if (!(comm.dirichlet_alpha > 0.0))
           bad_spec("'data=dirichlet' alpha must be positive");
         saw_dirichlet = true;
       } else if (part.rfind("sizeskew", 0) == 0) {
         if (saw_sizeskew) bad_spec("duplicate 'data' part 'sizeskew'");
         if (part.size() < 10 || part[8] != ':')
           bad_spec("'data=sizeskew' wants an exponent (data=sizeskew:<s>)");
-        spec.sizeskew_s = parse_double(part.substr(9), "data=sizeskew");
-        if (!(spec.sizeskew_s > 0.0))
+        comm.sizeskew_s = parse_double(part.substr(9), "data=sizeskew");
+        if (!(comm.sizeskew_s > 0.0))
           bad_spec("'data=sizeskew' exponent must be positive");
         saw_sizeskew = true;
       } else {
@@ -374,35 +407,13 @@ void apply_key(CodecSpec& spec, const std::string& key,
       start = plus + 1;
     }
   } else if (key == "population") {
-    // parse -> format canonicalizes the stored string (and validates it);
-    // the population grammar uses ';' and '+' internally, never ',', so the
-    // canonical value embeds verbatim in the comma-separated option list.
     try {
-      spec.population =
-          format_population_spec(parse_population_spec(value));
+      comm.population = parse_population_spec(value);
     } catch (const InvalidArgument& error) {
       bad_spec(std::string("'population': ") + error.what());
     }
-  } else if (key == "downmode") {
-    if (value == "full")
-      spec.downlink_delta = false;
-    else if (value == "delta")
-      spec.downlink_delta = true;
-    else
-      bad_spec("'downmode' must be full or delta, got '" + value + "'");
-  } else if (key == "ef") {
-    if (value == "on")
-      spec.error_feedback = true;
-    else if (value == "off")
-      spec.error_feedback = false;
-    else
-      bad_spec("'ef' must be on or off, got '" + value + "'");
   } else {
-    bad_spec("unknown key '" + key +
-             "' (expected lossy, lossless, eb, policy, sparsity, bits, "
-             "chunk, threads, threshold, downlink, downmode, ef, topology, "
-             "backhaul, backhaul<k>, edgemode, edgeef, shard, transport, "
-             "checkpoint, data or population)");
+    unknown_key(key);  // the "backhaul<k>" placeholder itself
   }
 }
 
@@ -423,12 +434,13 @@ void parse_options(CodecSpec& out, const std::string& body,
     if (pair.empty() || eq == std::string::npos || eq == 0)
       bad_spec("expected key=value, got '" + pair + "'");
     const std::string key = pair.substr(0, eq);
-    if (comm_only && !is_comm_key(key))
-      bad_spec("'" + family +
-               "' takes only downlink, downmode, ef, topology, backhaul, "
-               "backhaul<k>, edgemode, edgeef, shard, transport, "
-               "checkpoint, data or population options");
-    apply_key(out, key, pair.substr(eq + 1));
+    const std::string value = pair.substr(eq + 1);
+    if (is_comm_key(key))
+      apply_comm_key(out.comm, key, value);
+    else if (comm_only)
+      bad_spec("'" + family + "' takes only " + comm_key_list() + " options");
+    else
+      apply_codec_key(out, key, value);
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
@@ -465,64 +477,51 @@ CodecSpec parse_codec_spec(const std::string& spec) {
 
 namespace {
 
-/// The ",downlink=...,downmode=...,ef=...,topology=...,backhaul=..."
-/// suffix (empty when every comm field is at its default), shared by the
-/// identity and fedsz renderings.
-std::string comm_suffix(const CodecSpec& spec) {
+/// A nested canonical spec as it embeds in the composite string: ',' turns
+/// to ';' so the outer list still splits on ',' unambiguously. No re-parse:
+/// a formatter must not throw on a hand-set (possibly bogus) string.
+std::string embed_inner_spec(std::string spec) {
+  for (char& c : spec)
+    if (c == ',') c = ';';
+  return spec;
+}
+
+/// The ",key=value" comm suffix in kCommKeys order: every setting off its
+/// default (empty for a spec without comm keys).
+std::string comm_suffix(const CommSettings& comm) {
+  const TopologyConfig& topology = comm.topology;
   std::string out;
-  if (!spec.downlink.empty()) {
-    // The stored downlink spec is already canonical (apply_key normalizes
-    // it); only the separators swap so the composite string still splits
-    // on ',' unambiguously. No re-parse: a formatter must not throw on a
-    // hand-set (possibly bogus) string — parse/validate report that.
-    std::string inner = spec.downlink;
-    for (char& c : inner)
-      if (c == ',') c = ';';
-    out += ",downlink=" + inner;
-  }
-  if (spec.downlink_delta) out += ",downmode=delta";
-  if (spec.error_feedback) out += ",ef=on";
-  if (!spec.hier_tiers.empty()) {
-    out += ",topology=hier:";
-    for (std::size_t l = 0; l < spec.hier_tiers.size(); ++l) {
-      if (l > 0) out += 'x';
-      out += std::to_string(spec.hier_tiers[l]);
-    }
-  }
-  if (!spec.backhaul.empty()) {
-    std::string inner = spec.backhaul;
-    for (char& c : inner)
-      if (c == ',') c = ';';
-    out += ",backhaul=" + inner;
-  }
-  for (std::size_t k = 0; k < spec.tier_backhauls.size(); ++k) {
-    if (spec.tier_backhauls[k].empty()) continue;
-    std::string inner = spec.tier_backhauls[k];
-    for (char& c : inner)
-      if (c == ',') c = ';';
-    out += ",backhaul" + std::to_string(k + 1) + "=" + inner;
-  }
-  if (spec.edge_buffered)
-    out += ",edgemode=buffered:" + std::to_string(spec.edge_buffer);
-  if (spec.edge_error_feedback) out += ",edgeef=on";
-  if (spec.shard_shuffled) out += ",shard=shuffled";
-  if (!spec.transport.empty()) out += ",transport=" + spec.transport;
-  if (!spec.checkpoint_path.empty())
-    out += ",checkpoint=" + spec.checkpoint_path + ":" +
-           std::to_string(spec.checkpoint_every);
-  if (spec.dirichlet_alpha > 0.0 || spec.sizeskew_s > 0.0) {
-    std::string parts;
-    if (spec.dirichlet_alpha > 0.0)
-      parts += "dirichlet:" + format_double(spec.dirichlet_alpha);
-    if (spec.sizeskew_s > 0.0) {
-      if (!parts.empty()) parts += '+';
-      parts += "sizeskew:" + format_double(spec.sizeskew_s);
-    }
-    out += ",data=" + parts;
-  }
-  // Stored canonically by apply_key; the population grammar never contains
-  // ',' so no separator swap is needed.
-  if (!spec.population.empty()) out += ",population=" + spec.population;
+  if (!comm.downlink_spec.empty())
+    out += ",downlink=" + embed_inner_spec(comm.downlink_spec);
+  if (comm.downlink_mode == DownlinkMode::kDelta) out += ",downmode=delta";
+  if (comm.error_feedback) out += ",ef=on";
+  for (std::size_t l = 0; l < topology.tiers.size(); ++l)
+    out += (l == 0 ? ",topology=hier:" : "x") +
+           std::to_string(topology.tiers[l]);
+  if (!topology.backhaul_spec.empty())
+    out += ",backhaul=" + embed_inner_spec(topology.backhaul_spec);
+  for (std::size_t k = 0; k < topology.tier_backhaul_specs.size(); ++k)
+    if (!topology.tier_backhaul_specs[k].empty())
+      out += ",backhaul" + std::to_string(k + 1) + "=" +
+             embed_inner_spec(topology.tier_backhaul_specs[k]);
+  if (topology.edge_mode == EdgeMode::kBuffered)
+    out += ",edgemode=buffered:" + std::to_string(topology.edge_buffer);
+  if (topology.edge_error_feedback) out += ",edgeef=on";
+  if (topology.sharding == ShardStrategy::kShuffled) out += ",shard=shuffled";
+  if (!comm.transport.empty()) out += ",transport=" + comm.transport;
+  if (!comm.checkpoint_path.empty())
+    out += ",checkpoint=" + comm.checkpoint_path + ":" +
+           std::to_string(comm.checkpoint_every);
+  std::string data;
+  if (comm.dirichlet_alpha > 0.0)
+    data += "dirichlet:" + format_decimal(comm.dirichlet_alpha);
+  if (comm.sizeskew_s > 0.0)
+    data += (data.empty() ? "sizeskew:" : "+sizeskew:") +
+            format_decimal(comm.sizeskew_s);
+  if (!data.empty()) out += ",data=" + data;
+  // The population grammar never contains ',', so it embeds verbatim.
+  if (!comm.population.empty())
+    out += ",population=" + format_population_spec(comm.population);
   return out;
 }
 
@@ -530,7 +529,7 @@ std::string comm_suffix(const CodecSpec& spec) {
 
 std::string format_codec_spec(const CodecSpec& spec) {
   if (spec.identity) {
-    const std::string comm = comm_suffix(spec);
+    const std::string comm = comm_suffix(spec.comm);
     return comm.empty() ? "identity" : "identity:" + comm.substr(1);
   }
   std::string out;
@@ -542,23 +541,24 @@ std::string format_codec_spec(const CodecSpec& spec) {
     out += ",eb=";
   }
   out += spec.bound.mode == lossy::BoundMode::kAbsolute ? "abs:" : "rel:";
-  out += format_double(spec.bound.value);
+  out += format_decimal(spec.bound.value);
   out += ",lossless=";
   out += lossless::lossless_codec(spec.lossless_id).name();
   out += ",policy=" + spec.policy;
   if (spec.policy == "schedule")
-    out += ":" + format_double(spec.schedule_factor);
+    out += ":" + format_decimal(spec.schedule_factor);
   if (spec.policy == "gradaware")
-    out += ":" + format_double(spec.gradaware_beta);
+    out += ":" + format_decimal(spec.gradaware_beta);
   if (spec.sparse) {
-    if (spec.sparsity > 0.0) out += ",sparsity=" + format_double(spec.sparsity);
+    if (spec.sparsity > 0.0)
+      out += ",sparsity=" + format_decimal(spec.sparsity);
     if (spec.sparse_bits > 0)
       out += ",bits=" + std::to_string(spec.sparse_bits);
   }
   out += ",chunk=" + std::to_string(spec.chunk_elements);
   out += ",threads=" + std::to_string(spec.threads);
   out += ",threshold=" + std::to_string(spec.lossy_threshold);
-  out += comm_suffix(spec);
+  out += comm_suffix(spec.comm);
   return out;
 }
 

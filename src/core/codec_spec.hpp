@@ -95,16 +95,80 @@
 // canonical normalized form ("fedsz-parallel" normalizes to threads=0,
 // "uncompressed" to "identity", chunk suffixes to element counts), so
 // format(parse(s)) is a normal form and format∘parse is idempotent.
+//
+// Codec keys land in CodecSpec's own fields; comm keys land in
+// CodecSpec::comm, a CommSettings — the struct FlRunConfig inherits — so a
+// run takes them with one assignment (FlRunConfig::apply_comm_spec).
 #pragma once
 
 #include <string>
 
+#include "core/fl/downlink.hpp"
+#include "core/fl/population.hpp"
+#include "core/fl/topology.hpp"
 #include "core/update_codec.hpp"
 
 namespace fedsz::core {
 
+/// What the comm keys configure: how a run broadcasts, aggregates, ships,
+/// shards and checkpoints, rather than how a codec encodes. FlRunConfig
+/// inherits these fields; parse_codec_spec fills CodecSpec::comm, and
+/// format_codec_spec renders every field that differs from its default.
+struct CommSettings {
+  /// Server->client broadcast codec spec (downlink=), in canonical comma
+  /// form, e.g. "fedsz:eb=rel:1e-3" or "identity". Empty keeps the broadcast
+  /// free and lossless. When set, broadcast bytes are charged against each
+  /// client's own link BEFORE its local training starts, and clients train
+  /// on the decoded (possibly lossy) model.
+  std::string downlink_spec;
+  /// downmode=: kFull encodes the whole global once per round; kDelta
+  /// encodes each client's delta against the model it last acknowledged.
+  DownlinkMode downlink_mode = DownlinkMode::kFull;
+  /// ef=on: per-client uplink error feedback — the residual the lossy
+  /// encoder dropped is folded into the next round's update before encoding.
+  bool error_feedback = false;
+  /// Aggregation topology (topology=, backhaul=, backhaul<k>=, edgemode=,
+  /// edgeef=, shard=): the default flat star, or a hierarchical tree
+  /// (TopologyMode::kHier, set from the tiers) sharding clients under edge
+  /// aggregators that re-encode weight-carrying partial means over their own
+  /// backhaul links. Hierarchical runs require a barrier scheduler (sync /
+  /// sampled_sync), applied per edge cohort. No key sets backhaul_network,
+  /// backhaul_heterogeneous or shard_seed.
+  TopologyConfig topology;
+  /// Wire transport for hierarchical edges (transport=), canonical: empty =
+  /// in-process simulation (transport=inproc normalizes to empty);
+  /// "tcp:<port>" = each edge cohort is its own process over TCP (port 0
+  /// picks a free one). Consumed by the federation driver
+  /// (core/fl/federation.hpp), not by FlCoordinator::run() itself.
+  std::string transport;
+  /// Checkpoint/resume (checkpoint=<path>:<K>): with a non-empty path the
+  /// coordinator atomically rewrites `checkpoint_path` every
+  /// `checkpoint_every` completed rounds.
+  std::string checkpoint_path;
+  std::size_t checkpoint_every = 0;
+  /// Client data sharding (data=dirichlet:<alpha>): 0 = IID deal (the
+  /// default and the byte-stable pre-existing trajectory), > 0 = Dirichlet
+  /// label-skew partition with this concentration alpha (lower = more
+  /// skew), seeded from the run seed so the shards are deterministic.
+  double dirichlet_alpha = 0.0;
+  /// Power-law per-client sample-count skew (data=sizeskew:<s>): 0 = off;
+  /// > 0 applies apply_sizeskew after the base partition, from its own
+  /// stream (seed ^ 0x517E55EDull) so the base shards are unchanged.
+  double sizeskew_s = 0.0;
+  /// Client population (population=): device classes with correlated
+  /// compute/link/data-size draws plus an availability model sampled on the
+  /// virtual clock at each round open — only eligible clients enter the
+  /// scheduler's cohort draw (per edge cohort under kHier). Empty (the
+  /// default) keeps the flat always-available pool and consumes no extra
+  /// randomness. Requires a barrier scheduler; mutually exclusive with
+  /// FlRunConfig::heterogeneous (the population owns the link draws).
+  PopulationConfig population;
+
+  bool operator==(const CommSettings&) const = default;
+};
+
 struct CodecSpec {
-  /// True for the uncompressed baseline; every other field is ignored.
+  /// True for the uncompressed baseline; every other codec field is ignored.
   bool identity = false;
   /// True for the sparse family: would-be-lossy tensors ride the sparse
   /// path (lossy_id is ignored; sparsity/sparse_bits apply).
@@ -128,74 +192,14 @@ struct CodecSpec {
   /// Chunk-pipeline workers; 0 = one per hardware thread.
   std::size_t threads = 1;
   std::size_t lossy_threshold = 1000;
-  /// Downlink broadcast codec spec in canonical (comma-separated) form —
-  /// directly parseable by parse_codec_spec/make_codec. Empty means the
-  /// broadcast is free and lossless (the uplink-only comm model). In the
-  /// composite string the inner options are ';'-separated; parse/format
-  /// translate.
-  std::string downlink;
-  /// Broadcast mode when `downlink` is set (downmode=delta).
-  bool downlink_delta = false;
-  /// Per-client uplink error feedback (ef=on).
-  bool error_feedback = false;
-  /// Aggregation topology (topology= comm key): empty = flat star (the
-  /// default); otherwise the per-tier fan-ins bottom-up
-  /// (topology=hier:<N>[x<M>...] — hier:8 is the one-tier sugar).
-  std::vector<std::size_t> hier_tiers;
-  /// Default partial re-encode codec spec for every tier, in canonical
-  /// form (backhaul= comm key; inner options ';'-separated like downlink).
-  /// Empty means partials ship through the identity codec.
-  std::string backhaul;
-  /// Per-tier overrides (backhaul<k>= comm keys): entry k-1 non-empty
-  /// overrides `backhaul` for tier k. Never longer than the last override
-  /// (no trailing empties), so format∘parse stays idempotent.
-  std::vector<std::string> tier_backhauls;
-  /// Interior ship discipline (edgemode=buffered:<K>): ship a node's
-  /// partial after min(K, expected) folds instead of the full barrier.
-  bool edge_buffered = false;
-  std::size_t edge_buffer = 0;
-  /// Edge-side error feedback on lossy backhauls (edgeef=on).
-  bool edge_error_feedback = false;
-  /// Seeded-shuffle client->edge sharding (shard=shuffled).
-  bool shard_shuffled = false;
-  /// Wire transport for hierarchical edges (transport= comm key), stored
-  /// canonically: empty = in-process simulation (the default; an explicit
-  /// transport=inproc normalizes to empty), or "tcp:<port>" — each edge
-  /// cohort runs as its own process speaking the versioned frame protocol
-  /// to the root (port 0 = pick a free port).
-  std::string transport;
-  /// Checkpoint/resume (checkpoint=<path>:<K> comm key): empty path = no
-  /// checkpointing; otherwise the coordinator atomically rewrites `path`
-  /// every `checkpoint_every` completed rounds.
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 0;
-  /// Client data sharding (data= comm key): 0 = IID deal (the default),
-  /// > 0 = Dirichlet label skew with this concentration alpha.
-  double dirichlet_alpha = 0.0;
-  /// Power-law per-client sample-count skew exponent (data=sizeskew:<s>):
-  /// 0 = off, > 0 = shard at skew rank r keeps fraction (r+1)^-s of its
-  /// samples (minimum one). Composes with dirichlet_alpha.
-  double sizeskew_s = 0.0;
-  /// Client population spec (population= comm key) in canonical form —
-  /// directly parseable by parse_population_spec. Empty = the flat,
-  /// always-available pool.
-  std::string population;
+  /// Everything the comm keys set.
+  CommSettings comm;
 
-  /// True when any comm-level key (downlink/downmode/ef/topology/backhaul/
-  /// backhaul<k>/edgemode/edgeef/shard/transport/checkpoint/data/
-  /// population) is set — the keys that configure an
-  /// FL run rather than a codec. The single predicate behind every "this
-  /// spec cannot carry comm keys" rejection (nested downlink/backhaul
-  /// specs, make_codec), so a future comm key only needs adding
-  /// here.
-  bool has_comm_keys() const {
-    return !downlink.empty() || downlink_delta || error_feedback ||
-           !hier_tiers.empty() || !backhaul.empty() ||
-           !tier_backhauls.empty() || edge_buffered ||
-           edge_error_feedback || shard_shuffled || !transport.empty() ||
-           !checkpoint_path.empty() || dirichlet_alpha > 0.0 ||
-           sizeskew_s > 0.0 || !population.empty();
-  }
+  /// True when any comm key is set — the keys that configure an FL run
+  /// rather than a codec. The single predicate behind every "this spec
+  /// cannot carry comm keys" rejection (nested downlink/backhaul specs,
+  /// make_codec).
+  bool has_comm_keys() const { return comm != CommSettings{}; }
 };
 
 /// Parse `spec` against library defaults. Throws InvalidArgument on

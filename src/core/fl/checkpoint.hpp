@@ -5,9 +5,12 @@
 // sessions, edge-side EF residuals, both coordinator RNG streams
 // mid-sequence, and the virtual clock — so a run restored from it finishes
 // BIT-IDENTICAL to one that never stopped (the resume property test pins
-// this round for round). Clients themselves are stateless across rounds
-// (each round rebuilds its loader from a fixed seed), which is what keeps
-// this set sufficient.
+// this round for round). Clients rebuild their loader each round from a
+// fixed seed, but one piece of client state is NOT captured: a Dropout
+// layer's Rng lives in each FlClient's private model and advances across
+// rounds, so a model with Dropout (AlexNet; not MobileNetV2) resumes with
+// fresh streams and its bytes drift from the first resumed round on. A TCP
+// worker that takes over a re-homed client has the same gap.
 //
 // On-disk container: magic/version header, CRC-32-guarded body, written
 // via a synced temp file + rename so a kill (or power loss) at any instant

@@ -6,7 +6,6 @@
 #include <memory>
 #include <utility>
 
-#include "core/codec_spec.hpp"
 #include "core/fl/checkpoint.hpp"
 #include "core/fl/round_steps.hpp"
 #include "net/transport.hpp"
@@ -49,28 +48,11 @@ void FailureSchedule::validate() const {
 }
 
 void FlRunConfig::apply_comm_spec(const CodecSpec& spec) {
-  downlink_spec = spec.downlink;
-  downlink_mode =
-      spec.downlink_delta ? DownlinkMode::kDelta : DownlinkMode::kFull;
-  error_feedback = spec.error_feedback;
-  topology.mode =
-      spec.hier_tiers.empty() ? TopologyMode::kFlat : TopologyMode::kHier;
-  topology.tiers = spec.hier_tiers;
-  topology.backhaul_spec = spec.backhaul;
-  topology.tier_backhaul_specs = spec.tier_backhauls;
-  topology.edge_mode =
-      spec.edge_buffered ? EdgeMode::kBuffered : EdgeMode::kSync;
-  topology.edge_buffer = spec.edge_buffer;
-  topology.edge_error_feedback = spec.edge_error_feedback;
-  topology.sharding = spec.shard_shuffled ? ShardStrategy::kShuffled
-                                          : ShardStrategy::kContiguous;
-  transport = spec.transport;
-  checkpoint_path = spec.checkpoint_path;
-  checkpoint_every = spec.checkpoint_every;
-  dirichlet_alpha = spec.dirichlet_alpha;
-  sizeskew_s = spec.sizeskew_s;
-  population = spec.population.empty() ? PopulationConfig{}
-                                       : parse_population_spec(spec.population);
+  const TopologyConfig kept = topology;
+  CommSettings::operator=(spec.comm);
+  topology.backhaul_network = kept.backhaul_network;
+  topology.backhaul_heterogeneous = kept.backhaul_heterogeneous;
+  topology.shard_seed = kept.shard_seed;
 }
 
 void FlRunConfig::validate() const {

@@ -33,20 +33,16 @@
 
 #include <optional>
 
+#include "core/codec_spec.hpp"
 #include "core/error_feedback.hpp"
 #include "core/fl/client.hpp"
-#include "core/fl/downlink.hpp"
-#include "core/fl/population.hpp"
 #include "core/fl/scheduler.hpp"
 #include "core/fl/server.hpp"
-#include "core/fl/topology.hpp"
-#include "core/update_codec.hpp"
 #include "data/partition.hpp"
 #include "net/heterogeneous.hpp"
 
 namespace fedsz::core {
 
-struct CodecSpec;
 class RemoteEdges;
 
 /// Seeded churn injection, applied as coordinator pump events. Every draw
@@ -77,7 +73,10 @@ struct FailureSchedule {
   void validate() const;
 };
 
-struct FlRunConfig {
+/// Every run setting. The comm keys' settings (downlink_spec, topology,
+/// population, ...) are the inherited CommSettings fields, documented in
+/// core/codec_spec.hpp.
+struct FlRunConfig : CommSettings {
   std::size_t clients = 4;
   int rounds = 10;
   ClientConfig client;
@@ -95,71 +94,20 @@ struct FlRunConfig {
   double compute_seconds_per_sample = 1e-3;
   double compute_jitter = 0.0;  // in [0, 1)
 
-  /// Codec spec for the server->client global-model broadcast (e.g.
-  /// "fedsz:eb=rel:1e-3" or "identity"). Empty keeps the pre-downlink
-  /// model: the broadcast is lossless and costs nothing on the virtual
-  /// clock. When set, broadcast bytes are charged against each client's
-  /// own link BEFORE its local training starts, and clients train on the
-  /// decoded (possibly lossy) model.
-  std::string downlink_spec;
-  /// kFull encodes the whole global once per round; kDelta encodes each
-  /// client's delta against the model it last acknowledged.
-  DownlinkMode downlink_mode = DownlinkMode::kFull;
-  /// Per-client uplink error feedback: the residual the lossy encoder
-  /// dropped is folded into the next round's update before encoding.
-  bool error_feedback = false;
-
-  /// Aggregation topology: the default flat star, or a hierarchical tree
-  /// (TopologyMode::kHier) sharding clients under edge aggregators that
-  /// re-encode weight-carrying partial means over their own backhaul
-  /// links. Hierarchical runs require a barrier scheduler (sync /
-  /// sampled_sync), applied per edge cohort.
-  TopologyConfig topology;
-
   /// Seeded churn: client dropout, edge crashes with re-sharding, and
   /// straggler eviction. Empty (the default) injects nothing. Requires a
   /// barrier scheduler; edge_failure_rate further requires kHier.
   FailureSchedule failures;
 
-  /// Wire transport for hierarchical edges (transport= comm key), in the
-  /// spec's canonical spelling: empty = in-process simulation; "tcp:<port>"
-  /// = each edge cohort is its own process over TCP (port 0 picks a free
-  /// one). Consumed by the federation driver (core/fl/federation.hpp), not
-  /// by FlCoordinator::run() itself.
-  std::string transport;
-
-  /// Checkpoint/resume (checkpoint=<path>:<K> comm key): with a non-empty
-  /// path the coordinator atomically rewrites `checkpoint_path` every
-  /// `checkpoint_every` completed rounds, and — when `resume` is set — first
-  /// restores the state found there, so the finished run is bit-identical
-  /// to one that never stopped.
-  std::string checkpoint_path;
-  std::size_t checkpoint_every = 0;
+  /// With a checkpoint_path: first restore the state found there, so the
+  /// finished run is bit-identical to one that never stopped (see the
+  /// caveat in core/fl/checkpoint.hpp).
   bool resume = false;
 
-  /// Client data sharding (data= comm key): 0 = IID deal (the default and
-  /// the byte-stable pre-existing trajectory), > 0 = Dirichlet label-skew
-  /// partition with this concentration alpha (lower = more skew), seeded
-  /// from `seed` so the shards are deterministic.
-  double dirichlet_alpha = 0.0;
-  /// Power-law per-client sample-count skew (data=sizeskew:<s> comm key):
-  /// 0 = off; > 0 applies apply_sizeskew after the base partition, from its
-  /// own stream (seed ^ 0x517E55EDull) so the base shards are unchanged.
-  double sizeskew_s = 0.0;
-
-  /// Client population (population= comm key): device classes with
-  /// correlated compute/link/data-size draws plus an availability model
-  /// sampled on the virtual clock at each round open — only eligible
-  /// clients enter the scheduler's cohort draw (per edge cohort under
-  /// kHier). Empty (the default) keeps the flat always-available pool and
-  /// consumes no extra randomness. Requires a barrier scheduler; mutually
-  /// exclusive with `heterogeneous` (the population owns the link draws).
-  PopulationConfig population;
-
-  /// Fold the comm-level keys of a parsed codec spec (downlink=, downmode=,
-  /// ef=, topology=, backhaul=, backhaul<k>=, edgemode=, edgeef=, shard=,
-  /// transport=, checkpoint=) into this config; the spec's codec-level keys
-  /// are unaffected.
+  /// Take every comm key of a parsed codec spec: this config's
+  /// CommSettings become spec.comm, except the three TopologyConfig fields
+  /// no key sets (backhaul_network, backhaul_heterogeneous, shard_seed),
+  /// which keep their values. The spec's codec keys are unaffected.
   void apply_comm_spec(const CodecSpec& spec);
 
   /// Throws InvalidArgument on degenerate settings (zero clients/rounds/

@@ -653,7 +653,11 @@ FederatedRoot::FederatedRoot(const nn::ModelConfig& model_config,
   Impl& impl = *impl_;
   impl.model_config = model_config;
   impl.train_spec = std::move(train);
-  impl.spec_string = format_codec_spec(spec);
+  // Only the codec keys: every comm setting already rides the HELLO's
+  // run-config bytes.
+  CodecSpec codec = spec;
+  codec.comm = {};
+  impl.spec_string = format_codec_spec(codec);
   impl.options = options;
   // The coordinator validates the config and rejects a flat topology and
   // continuous schedulers.

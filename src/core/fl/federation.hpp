@@ -4,7 +4,7 @@
 // over TCP in production), speaking the versioned frame protocol from
 // net/wire.hpp:
 //
-//   root -> worker   HELLO      run manifest: codec spec, dataset recipe,
+//   root -> worker   HELLO      run manifest: codec keys, dataset recipe,
 //                               model, the put_run_config bytes, edge index
 //   worker -> root   ACK        run_fingerprint of the config the worker
 //                               parsed + its edge index
@@ -49,8 +49,6 @@
 
 namespace fedsz::core {
 
-struct CodecSpec;
-
 /// How both sides construct the training data: by name through
 /// data::make_dataset, so the manifest ships a recipe, never samples.
 struct DatasetSpec {
@@ -70,12 +68,13 @@ struct FederationOptions {
 };
 
 /// Everything an edge worker needs to rebuild its deterministic slice of
-/// the run: the canonical codec spec (the worker builds its uplink codec
-/// from it, nothing else), the dataset recipe, the model, the run config
-/// (every run setting, shipped as put_run_config bytes — the bytes
-/// run_fingerprint hashes) and this worker's edge assignment. The worker
-/// ACKs run_fingerprint(config, model) of the manifest it parsed, so a
-/// worker that would rebuild a different run fails the handshake.
+/// the run: the canonical codec spec with the codec keys only (the worker
+/// builds its uplink codec from it, nothing else), the dataset recipe, the
+/// model, the run config (every run setting, comm settings included,
+/// shipped as put_run_config bytes — the bytes run_fingerprint hashes) and
+/// this worker's edge assignment. The worker ACKs run_fingerprint(config,
+/// model) of the manifest it parsed, so a worker that would rebuild a
+/// different run fails the handshake.
 struct RunManifest {
   std::string codec_spec;
   DatasetSpec dataset;
@@ -109,8 +108,9 @@ PartialMsg parse_partial(ByteSpan bytes, std::size_t clients);
 /// the workers, which a checkpoint does not capture).
 class FederatedRoot {
  public:
-  /// `spec` is the FULL parsed codec spec (codec + comm keys); `config`
-  /// must already agree with it (apply_comm_spec). With
+  /// Only the codec keys of `spec` are read (they build each worker's
+  /// uplink codec); every comm setting comes from `config`, which takes a
+  /// spec's comm keys through apply_comm_spec. With
   /// config.transport == "tcp:<port>" the constructor binds the listener
   /// immediately so port() is valid before any worker spawns.
   FederatedRoot(const nn::ModelConfig& model_config, DatasetSpec train,

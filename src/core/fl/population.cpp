@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/common.hpp"
+#include "util/decimal.hpp"
 
 namespace fedsz::core {
 
@@ -29,12 +29,9 @@ double clamp_mbps(double mbps) {
 
 double parse_double(const std::string& text, const std::string& key) {
   if (text.empty()) bad_population("empty value for '" + key + "'");
-  errno = 0;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (errno != 0 || end != text.c_str() + text.size() || !std::isfinite(value))
-    bad_population("invalid number '" + text + "' for '" + key + "'");
-  return value;
+  const std::optional<double> value = parse_decimal(text);
+  if (!value) bad_population("invalid number '" + text + "' for '" + key + "'");
+  return *value;
 }
 
 std::uint64_t parse_seed(const std::string& text) {
@@ -42,18 +39,12 @@ std::uint64_t parse_seed(const std::string& text) {
   errno = 0;
   char* end = nullptr;
   const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (errno != 0 || end != text.c_str() + text.size())
+  // strtoull wraps a leading '-' and skips '+' and spaces; a seed is bare
+  // digits.
+  if (text.find_first_not_of("0123456789") != std::string::npos ||
+      errno != 0 || end != text.c_str() + text.size())
     bad_population("invalid seed '" + text + "'");
   return static_cast<std::uint64_t>(value);
-}
-
-std::string format_double(double value) {
-  char buffer[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buffer, sizeof(buffer), "%.*g", precision, value);
-    if (std::strtod(buffer, nullptr) == value) break;
-  }
-  return buffer;
 }
 
 bool known_preset(const std::string& preset) {
@@ -90,7 +81,7 @@ std::string format_mix(const std::vector<DeviceClassShare>& mix) {
   std::string out;
   for (const DeviceClassShare& share : mix) {
     if (!out.empty()) out += '+';
-    out += share.name + "*" + format_double(share.weight);
+    out += share.name + "*" + format_decimal(share.weight);
   }
   return out;
 }
@@ -188,6 +179,9 @@ PopulationConfig parse_population_spec(const std::string& text) {
       if (key == "mix") {
         config.mix = parse_mix(value);
       } else if (key == "avail") {
+        // A later avail= replaces an earlier one outright, so the config
+        // equals the one its canonical form parses to.
+        config.flat_availability = PopulationConfig{}.flat_availability;
         if (value == "diurnal") {
           config.availability = AvailabilityMode::kDiurnal;
         } else if (value == "always") {
@@ -205,6 +199,8 @@ PopulationConfig parse_population_spec(const std::string& text) {
         config.phase_jitter = parse_double(value, "jitter");
       } else if (key == "drop") {
         config.dropout_rate = parse_double(value, "drop");
+        // drop=-0 is the omitted default, +0.
+        if (config.dropout_rate == 0.0) config.dropout_rate = 0.0;
       } else if (key == "seed") {
         config.seed = parse_seed(value);
       } else {
@@ -226,15 +222,15 @@ std::string format_population_spec(const PopulationConfig& config) {
   std::vector<std::string> options;
   if (!config.mix.empty()) options.push_back("mix=" + format_mix(config.mix));
   if (config.availability == AvailabilityMode::kFlat)
-    options.push_back("avail=flat:" + format_double(config.flat_availability));
+    options.push_back("avail=flat:" + format_decimal(config.flat_availability));
   else if (config.availability == AvailabilityMode::kAlways)
     options.push_back("avail=always");
   if (config.period_seconds != kDefaultPeriodSeconds)
-    options.push_back("period=" + format_double(config.period_seconds));
+    options.push_back("period=" + format_decimal(config.period_seconds));
   if (config.phase_jitter != kDefaultPhaseJitter)
-    options.push_back("jitter=" + format_double(config.phase_jitter));
+    options.push_back("jitter=" + format_decimal(config.phase_jitter));
   if (config.dropout_rate > 0.0)
-    options.push_back("drop=" + format_double(config.dropout_rate));
+    options.push_back("drop=" + format_decimal(config.dropout_rate));
   if (config.seed != 0) options.push_back("seed=" + std::to_string(config.seed));
   std::string out = config.preset;
   for (std::size_t i = 0; i < options.size(); ++i)

@@ -76,6 +76,8 @@ std::string availability_mode_name(AvailabilityMode mode);
 struct DeviceClassShare {
   std::string name;
   double weight = 1.0;
+
+  bool operator==(const DeviceClassShare&) const = default;
 };
 
 struct PopulationConfig {
@@ -97,6 +99,7 @@ struct PopulationConfig {
   std::uint64_t seed = 0;
 
   bool empty() const { return preset.empty(); }
+  bool operator==(const PopulationConfig&) const = default;
   /// Throws InvalidArgument on unknown presets/classes, empty custom
   /// mixes, non-positive weights, or degenerate availability (e.g.
   /// flat:0, period <= 0). A default-constructed (empty) config passes.

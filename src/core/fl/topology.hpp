@@ -98,6 +98,8 @@ struct TopologyConfig {
   /// the run seed (standalone trees fall back to a fixed constant).
   std::uint64_t shard_seed = 0;
 
+  bool operator==(const TopologyConfig&) const = default;
+
   /// Throws InvalidArgument on degenerate specs, naming the valid options:
   /// kHier without tiers (or with a zero tier), kFlat carrying any
   /// hier-only option (a loud error beats silently ignoring them), more

@@ -14,6 +14,8 @@ namespace fedsz::net {
 struct NetworkProfile {
   double bandwidth_mbps = 10.0;  // megabits per second (paper's edge default)
   double latency_s = 0.0;
+
+  bool operator==(const NetworkProfile&) const = default;
 };
 
 class SimulatedNetwork {

@@ -42,6 +42,8 @@ struct HeterogeneousNetworkConfig {
   // shared
   double latency_s = 0.0;
   std::uint64_t seed = 0x0b5e55edull;
+
+  bool operator==(const HeterogeneousNetworkConfig&) const = default;
 };
 
 class HeterogeneousNetwork {

@@ -7,7 +7,7 @@
 #include <iterator>
 
 #include "core/codec_spec.hpp"
-#include "core/fl/population.hpp"
+#include "core/fl/checkpoint.hpp"
 #include "core/policy.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +16,12 @@ namespace {
 
 std::string normalize(const std::string& spec) {
   return format_codec_spec(parse_codec_spec(spec));
+}
+
+Bytes run_config_bytes(const FlRunConfig& config) {
+  ByteWriter out;
+  put_run_config(out, config);
+  return out.finish();
 }
 
 // ---- parsing ----
@@ -111,12 +117,13 @@ TEST(CodecSpecParse, GradAwareBetaArgument) {
 
 TEST(CodecSpecParse, DataKeyIsCommLevel) {
   EXPECT_DOUBLE_EQ(
-      parse_codec_spec("fedsz:data=dirichlet:0.3").dirichlet_alpha, 0.3);
-  EXPECT_DOUBLE_EQ(parse_codec_spec("fedsz:data=iid").dirichlet_alpha, 0.0);
+      parse_codec_spec("fedsz:data=dirichlet:0.3").comm.dirichlet_alpha, 0.3);
+  EXPECT_DOUBLE_EQ(parse_codec_spec("fedsz:data=iid").comm.dirichlet_alpha,
+                   0.0);
   // identity accepts comm keys, data= included.
   const CodecSpec identity = parse_codec_spec("identity:data=dirichlet:0.5");
   EXPECT_TRUE(identity.identity);
-  EXPECT_DOUBLE_EQ(identity.dirichlet_alpha, 0.5);
+  EXPECT_DOUBLE_EQ(identity.comm.dirichlet_alpha, 0.5);
   const std::string canonical = format_codec_spec(identity);
   EXPECT_NE(canonical.find("data=dirichlet:0.5"), std::string::npos);
   EXPECT_EQ(normalize(canonical), canonical);
@@ -128,12 +135,12 @@ TEST(CodecSpecParse, DataKeyIsCommLevel) {
 
 TEST(CodecSpecParse, DataSizeskewComposesWithDirichlet) {
   const CodecSpec skew = parse_codec_spec("fedsz:data=sizeskew:1.5");
-  EXPECT_DOUBLE_EQ(skew.sizeskew_s, 1.5);
-  EXPECT_DOUBLE_EQ(skew.dirichlet_alpha, 0.0);
+  EXPECT_DOUBLE_EQ(skew.comm.sizeskew_s, 1.5);
+  EXPECT_DOUBLE_EQ(skew.comm.dirichlet_alpha, 0.0);
   const CodecSpec both =
       parse_codec_spec("identity:data=dirichlet:0.3+sizeskew:1.2");
-  EXPECT_DOUBLE_EQ(both.dirichlet_alpha, 0.3);
-  EXPECT_DOUBLE_EQ(both.sizeskew_s, 1.2);
+  EXPECT_DOUBLE_EQ(both.comm.dirichlet_alpha, 0.3);
+  EXPECT_DOUBLE_EQ(both.comm.sizeskew_s, 1.2);
   // Canonical order is dirichlet first, whatever the input order was.
   const std::string canonical = format_codec_spec(
       parse_codec_spec("identity:data=sizeskew:1.2+dirichlet:0.3"));
@@ -146,19 +153,17 @@ TEST(CodecSpecParse, DataSizeskewComposesWithDirichlet) {
 
 TEST(CodecSpecParse, PopulationKeyIsCommLevel) {
   const CodecSpec spec = parse_codec_spec("fedsz:population=mixed:seed=7");
-  EXPECT_EQ(spec.population, "mixed:seed=7");
+  EXPECT_EQ(spec.comm.population.preset, "mixed");
+  EXPECT_EQ(spec.comm.population.seed, 7u);
   const std::string canonical = format_codec_spec(spec);
   EXPECT_NE(canonical.find("population=mixed:seed=7"), std::string::npos);
   EXPECT_EQ(normalize(canonical), canonical);
-  // The stored value is itself canonical: explicit defaults fold away and
+  // The rendered value is canonical: explicit defaults fold away and
   // options come out in the grammar's fixed order.
-  EXPECT_EQ(parse_codec_spec("identity:population=mixed:avail=diurnal")
-                .population,
-            "mixed");
-  EXPECT_EQ(parse_codec_spec(
-                "identity:population=custom:seed=2;mix=laptop*2+iot*1")
-                .population,
-            "custom:mix=laptop*2+iot*1;seed=2");
+  EXPECT_EQ(normalize("identity:population=mixed:avail=diurnal"),
+            "identity:population=mixed");
+  EXPECT_EQ(normalize("identity:population=custom:seed=2;mix=laptop*2+iot*1"),
+            "identity:population=custom:mix=laptop*2+iot*1;seed=2");
   // A bare codec cannot field a client population.
   EXPECT_THROW(make_codec("fedsz:population=mixed"), InvalidArgument);
 }
@@ -168,7 +173,9 @@ TEST(CodecSpecErrors, MalformedPopulationKeysThrow) {
        {"fedsz:population=datacenter", "fedsz:population=custom",
         "fedsz:population=mixed:mix=laptop*1",
         "fedsz:population=mixed:avail=flat:0",
-        "fedsz:population=mixed:drop=1", "fedsz:population=mixed:wat=1"}) {
+        "fedsz:population=mixed:drop=1", "fedsz:population=mixed:wat=1",
+        // a seed is bare digits: strtoull would wrap -1 and skip '+'
+        "fedsz:population=mixed:seed=-1", "fedsz:population=mixed:seed=+7"}) {
     EXPECT_THROW(parse_codec_spec(spec), InvalidArgument) << spec;
   }
 }
@@ -229,17 +236,19 @@ TEST(CodecSpecParse, CommKeysDownlinkDownmodeEf) {
       "fedsz:eb=rel:1e-2,downlink=fedsz:eb=rel:1e-3;lossless=zstd,"
       "downmode=delta,ef=on");
   EXPECT_DOUBLE_EQ(spec.bound.value, 1e-2);
-  EXPECT_TRUE(spec.downlink_delta);
-  EXPECT_TRUE(spec.error_feedback);
+  EXPECT_EQ(spec.comm.downlink_mode, DownlinkMode::kDelta);
+  EXPECT_TRUE(spec.comm.error_feedback);
   // The stored downlink spec is canonical comma form, directly parseable.
-  const CodecSpec inner = parse_codec_spec(spec.downlink);
+  const CodecSpec inner = parse_codec_spec(spec.comm.downlink_spec);
   EXPECT_DOUBLE_EQ(inner.bound.value, 1e-3);
   EXPECT_EQ(inner.lossless_id, lossless::LosslessId::kZstd);
 
-  EXPECT_EQ(parse_codec_spec("fedsz:downlink=identity").downlink, "identity");
-  EXPECT_FALSE(parse_codec_spec("fedsz:ef=off").error_feedback);
-  EXPECT_FALSE(parse_codec_spec("fedsz:downmode=full").downlink_delta);
-  EXPECT_TRUE(parse_codec_spec("fedsz").downlink.empty());
+  EXPECT_EQ(parse_codec_spec("fedsz:downlink=identity").comm.downlink_spec,
+            "identity");
+  EXPECT_FALSE(parse_codec_spec("fedsz:ef=off").comm.error_feedback);
+  EXPECT_EQ(parse_codec_spec("fedsz:downmode=full").comm.downlink_mode,
+            DownlinkMode::kFull);
+  EXPECT_TRUE(parse_codec_spec("fedsz").comm.downlink_spec.empty());
 }
 
 TEST(CodecSpecParse, IdentityTakesCommKeysOnly) {
@@ -248,8 +257,8 @@ TEST(CodecSpecParse, IdentityTakesCommKeysOnly) {
   const CodecSpec spec = parse_codec_spec(
       "identity:downlink=fedsz:eb=rel:1e-3,ef=on");
   EXPECT_TRUE(spec.identity);
-  EXPECT_TRUE(spec.error_feedback);
-  EXPECT_DOUBLE_EQ(parse_codec_spec(spec.downlink).bound.value, 1e-3);
+  EXPECT_TRUE(spec.comm.error_feedback);
+  EXPECT_DOUBLE_EQ(parse_codec_spec(spec.comm.downlink_spec).bound.value, 1e-3);
   // The canonical form round-trips the comm keys.
   const std::string canonical = format_codec_spec(spec);
   EXPECT_EQ(canonical.rfind("identity:", 0), 0u);
@@ -264,24 +273,25 @@ TEST(CodecSpecParse, TopologyAndBackhaulCommKeys) {
   const CodecSpec spec = parse_codec_spec(
       "fedsz:eb=rel:1e-2,topology=hier:32,"
       "backhaul=fedsz:eb=rel:1e-3;lossless=zstd");
-  ASSERT_EQ(spec.hier_tiers.size(), 1u);
-  EXPECT_EQ(spec.hier_tiers[0], 32u);
+  ASSERT_EQ(spec.comm.topology.tiers.size(), 1u);
+  EXPECT_EQ(spec.comm.topology.tiers[0], 32u);
   // The stored backhaul spec is canonical comma form, directly parseable.
-  const CodecSpec inner = parse_codec_spec(spec.backhaul);
+  const CodecSpec inner = parse_codec_spec(spec.comm.topology.backhaul_spec);
   EXPECT_DOUBLE_EQ(inner.bound.value, 1e-3);
   EXPECT_EQ(inner.lossless_id, lossless::LosslessId::kZstd);
   // flat is the default and an explicit no-op; suffixes scale the fan-ins.
-  EXPECT_TRUE(parse_codec_spec("fedsz").hier_tiers.empty());
-  EXPECT_TRUE(parse_codec_spec("fedsz:topology=flat").hier_tiers.empty());
-  EXPECT_EQ(parse_codec_spec("fedsz:topology=hier:1k").hier_tiers,
+  EXPECT_TRUE(parse_codec_spec("fedsz").comm.topology.tiers.empty());
+  EXPECT_TRUE(
+      parse_codec_spec("fedsz:topology=flat").comm.topology.tiers.empty());
+  EXPECT_EQ(parse_codec_spec("fedsz:topology=hier:1k").comm.topology.tiers,
             std::vector<std::size_t>{1024});
   // The identity family accepts the topology keys too (raw uplink through
   // a sharded tree is a legitimate comm config).
   const CodecSpec identity = parse_codec_spec(
       "identity:topology=hier:8,backhaul=identity");
   EXPECT_TRUE(identity.identity);
-  EXPECT_EQ(identity.hier_tiers, std::vector<std::size_t>{8});
-  EXPECT_EQ(identity.backhaul, "identity");
+  EXPECT_EQ(identity.comm.topology.tiers, std::vector<std::size_t>{8});
+  EXPECT_EQ(identity.comm.topology.backhaul_spec, "identity");
   const std::string canonical = format_codec_spec(identity);
   EXPECT_EQ(format_codec_spec(parse_codec_spec(canonical)), canonical);
 }
@@ -291,17 +301,18 @@ TEST(CodecSpecParse, MultiTierTopologyAndPerTierOverrides) {
       "fedsz:topology=hier:32x16x4,backhaul=identity,"
       "backhaul2=fedsz:eb=rel:1e-3;lossless=zstd,"
       "edgemode=buffered:3,edgeef=on,shard=shuffled");
-  EXPECT_EQ(spec.hier_tiers, (std::vector<std::size_t>{32, 16, 4}));
-  EXPECT_EQ(spec.backhaul, "identity");
+  EXPECT_EQ(spec.comm.topology.tiers, (std::vector<std::size_t>{32, 16, 4}));
+  EXPECT_EQ(spec.comm.topology.backhaul_spec, "identity");
   // backhaul2= lands at entry 1 (1-based tiers) with no trailing empties.
-  ASSERT_EQ(spec.tier_backhauls.size(), 2u);
-  EXPECT_TRUE(spec.tier_backhauls[0].empty());
-  EXPECT_DOUBLE_EQ(parse_codec_spec(spec.tier_backhauls[1]).bound.value,
-                   1e-3);
-  EXPECT_TRUE(spec.edge_buffered);
-  EXPECT_EQ(spec.edge_buffer, 3u);
-  EXPECT_TRUE(spec.edge_error_feedback);
-  EXPECT_TRUE(spec.shard_shuffled);
+  ASSERT_EQ(spec.comm.topology.tier_backhaul_specs.size(), 2u);
+  EXPECT_TRUE(spec.comm.topology.tier_backhaul_specs[0].empty());
+  EXPECT_DOUBLE_EQ(
+      parse_codec_spec(spec.comm.topology.tier_backhaul_specs[1]).bound.value,
+      1e-3);
+  EXPECT_EQ(spec.comm.topology.edge_mode, EdgeMode::kBuffered);
+  EXPECT_EQ(spec.comm.topology.edge_buffer, 3u);
+  EXPECT_TRUE(spec.comm.topology.edge_error_feedback);
+  EXPECT_EQ(spec.comm.topology.sharding, ShardStrategy::kShuffled);
   // Every new key round-trips through the canonical form.
   const std::string canonical = format_codec_spec(spec);
   EXPECT_NE(canonical.find(",topology=hier:32x16x4"), std::string::npos);
@@ -313,10 +324,10 @@ TEST(CodecSpecParse, MultiTierTopologyAndPerTierOverrides) {
   // The off-spellings are explicit no-ops.
   const CodecSpec off = parse_codec_spec(
       "fedsz:edgemode=sync,edgeef=off,shard=contiguous");
-  EXPECT_FALSE(off.edge_buffered);
-  EXPECT_EQ(off.edge_buffer, 0u);
-  EXPECT_FALSE(off.edge_error_feedback);
-  EXPECT_FALSE(off.shard_shuffled);
+  EXPECT_EQ(off.comm.topology.edge_mode, EdgeMode::kSync);
+  EXPECT_EQ(off.comm.topology.edge_buffer, 0u);
+  EXPECT_FALSE(off.comm.topology.edge_error_feedback);
+  EXPECT_EQ(off.comm.topology.sharding, ShardStrategy::kContiguous);
 }
 
 TEST(CodecSpecErrors, MalformedCommKeysThrow) {
@@ -496,63 +507,62 @@ TEST(CodecSpecFormat, FormatParseFuzzRoundTrip) {
     }
     spec.schedule_factor = rng.uniform(0.1, 1.5);
     spec.gradaware_beta = rng.uniform(0.05, 0.95);
-    if (rng.uniform() < 0.2) spec.dirichlet_alpha = rng.uniform(0.1, 5.0);
-    if (rng.uniform() < 0.2) spec.sizeskew_s = rng.uniform(0.1, 3.0);
+    CommSettings& comm = spec.comm;
+    if (rng.uniform() < 0.2) comm.dirichlet_alpha = rng.uniform(0.1, 5.0);
+    if (rng.uniform() < 0.2) comm.sizeskew_s = rng.uniform(0.1, 3.0);
     if (rng.uniform() < 0.2) {
       const char* populations[] = {"mixed", "mobile:avail=always",
                                    "iot_fleet:avail=flat:0.5",
                                    "custom:mix=laptop*2+iot*1;drop=0.1"};
-      spec.population = format_population_spec(parse_population_spec(
-          populations[rng.uniform_index(std::size(populations))]));
+      comm.population = parse_population_spec(
+          populations[rng.uniform_index(std::size(populations))]);
     }
     spec.chunk_elements = 1 + rng.uniform_index(1 << 20);
     spec.threads = rng.uniform_index(9);
     spec.lossy_threshold = rng.uniform_index(5000);
     if (rng.uniform() < 0.3)
-      spec.downlink = format_codec_spec(parse_codec_spec(
+      comm.downlink_spec = format_codec_spec(parse_codec_spec(
           rng.uniform() < 0.5 ? "identity" : "fedsz:lossy=sz3,eb=rel:1e-3"));
-    spec.downlink_delta = rng.uniform() < 0.25;
-    spec.error_feedback = rng.uniform() < 0.25;
+    if (rng.uniform() < 0.25) comm.downlink_mode = DownlinkMode::kDelta;
+    comm.error_feedback = rng.uniform() < 0.25;
     if (rng.uniform() < 0.3) {
+      TopologyConfig& topology = comm.topology;
+      topology.mode = TopologyMode::kHier;
       const std::size_t depth = 1 + rng.uniform_index(3);
       for (std::size_t t = 0; t < depth; ++t)
-        spec.hier_tiers.push_back(1 + rng.uniform_index(256));
+        topology.tiers.push_back(1 + rng.uniform_index(256));
       if (rng.uniform() < 0.5)
-        spec.backhaul = format_codec_spec(parse_codec_spec(
+        topology.backhaul_spec = format_codec_spec(parse_codec_spec(
             rng.uniform() < 0.5 ? "identity" : "fedsz:eb=rel:1e-3"));
       if (rng.uniform() < 0.4) {
         // Per-tier overrides: pick one tier, no trailing empties (the
         // canonical-form invariant the generator must respect).
         const std::size_t tier = 1 + rng.uniform_index(depth);
-        spec.tier_backhauls.resize(tier);
-        spec.tier_backhauls[tier - 1] =
+        topology.tier_backhaul_specs.resize(tier);
+        topology.tier_backhaul_specs[tier - 1] =
             format_codec_spec(parse_codec_spec("fedsz:eb=rel:1e-4"));
       }
       if (rng.uniform() < 0.3) {
-        spec.edge_buffered = true;
-        spec.edge_buffer = 1 + rng.uniform_index(8);
+        topology.edge_mode = EdgeMode::kBuffered;
+        topology.edge_buffer = 1 + rng.uniform_index(8);
       }
-      spec.edge_error_feedback = rng.uniform() < 0.25;
-      spec.shard_shuffled = rng.uniform() < 0.25;
+      topology.edge_error_feedback = rng.uniform() < 0.25;
+      if (rng.uniform() < 0.25) topology.sharding = ShardStrategy::kShuffled;
     }
 
     const std::string canonical = format_codec_spec(spec);
     const CodecSpec reparsed = parse_codec_spec(canonical);
     EXPECT_EQ(format_codec_spec(reparsed), canonical);
     // Comm-level keys round-trip for every family, identity included.
-    EXPECT_EQ(reparsed.downlink, spec.downlink);
-    EXPECT_EQ(reparsed.downlink_delta, spec.downlink_delta);
-    EXPECT_EQ(reparsed.error_feedback, spec.error_feedback);
-    EXPECT_EQ(reparsed.hier_tiers, spec.hier_tiers);
-    EXPECT_EQ(reparsed.backhaul, spec.backhaul);
-    EXPECT_EQ(reparsed.tier_backhauls, spec.tier_backhauls);
-    EXPECT_EQ(reparsed.edge_buffered, spec.edge_buffered);
-    EXPECT_EQ(reparsed.edge_buffer, spec.edge_buffer);
-    EXPECT_EQ(reparsed.edge_error_feedback, spec.edge_error_feedback);
-    EXPECT_EQ(reparsed.shard_shuffled, spec.shard_shuffled);
-    EXPECT_DOUBLE_EQ(reparsed.dirichlet_alpha, spec.dirichlet_alpha);
-    EXPECT_DOUBLE_EQ(reparsed.sizeskew_s, spec.sizeskew_s);
-    EXPECT_EQ(reparsed.population, spec.population);
+    EXPECT_TRUE(reparsed.comm == spec.comm);
+    // The text form and the binary form agree: a run configured from the
+    // drawn spec and one configured from its canonical text serialize to
+    // the same put_run_config bytes.
+    FlRunConfig drawn;
+    drawn.apply_comm_spec(spec);
+    FlRunConfig reread;
+    reread.apply_comm_spec(reparsed);
+    EXPECT_EQ(run_config_bytes(drawn), run_config_bytes(reread));
     if (!spec.identity) {
       EXPECT_EQ(reparsed.sparse, spec.sparse);
       if (spec.sparse) {

@@ -128,6 +128,51 @@ TEST(TopologyConfigTest, FlRunConfigValidateAndCommSpecRoundTrip) {
   config.failures.edge_failure_rate = 0.25;
   config.topology = TopologyConfig{};  // flat: no edges to crash
   EXPECT_THROW(config.validate(), InvalidArgument);
+
+  // One pinned case per comm key: the FlRunConfig field it lands in.
+  const auto applied = [](const std::string& keys) {
+    FlRunConfig c;
+    c.apply_comm_spec(parse_codec_spec("identity:" + keys));
+    return c;
+  };
+  EXPECT_EQ(applied("downlink=fedsz:eb=rel:1e-3").downlink_spec,
+            format_codec_spec(parse_codec_spec("fedsz:eb=rel:1e-3")));
+  EXPECT_EQ(applied("downmode=delta").downlink_mode, DownlinkMode::kDelta);
+  EXPECT_TRUE(applied("ef=on").error_feedback);
+  const TopologyConfig hier = applied("topology=hier:4x2").topology;
+  EXPECT_EQ(hier.mode, TopologyMode::kHier);
+  EXPECT_EQ(hier.tiers, (std::vector<std::size_t>{4, 2}));
+  EXPECT_EQ(applied("backhaul=identity").topology.backhaul_spec, "identity");
+  EXPECT_EQ(applied("backhaul2=identity").topology.tier_backhaul_specs,
+            (std::vector<std::string>{"", "identity"}));
+  const TopologyConfig buffered = applied("edgemode=buffered:3").topology;
+  EXPECT_EQ(buffered.edge_mode, EdgeMode::kBuffered);
+  EXPECT_EQ(buffered.edge_buffer, 3u);
+  EXPECT_TRUE(applied("edgeef=on").topology.edge_error_feedback);
+  EXPECT_EQ(applied("shard=shuffled").topology.sharding,
+            ShardStrategy::kShuffled);
+  EXPECT_EQ(applied("transport=tcp:0").transport, "tcp:0");
+  const FlRunConfig checkpointed = applied("checkpoint=run.ck:2");
+  EXPECT_EQ(checkpointed.checkpoint_path, "run.ck");
+  EXPECT_EQ(checkpointed.checkpoint_every, 2u);
+  const FlRunConfig skewed = applied("data=dirichlet:0.5+sizeskew:1.2");
+  EXPECT_EQ(skewed.dirichlet_alpha, 0.5);
+  EXPECT_EQ(skewed.sizeskew_s, 1.2);
+  const PopulationConfig population =
+      applied("population=mixed:seed=7").population;
+  EXPECT_EQ(population.preset, "mixed");
+  EXPECT_EQ(population.seed, 7u);
+
+  // No key sets the backhaul links or the shard seed: applying a spec keeps
+  // the config's own.
+  FlRunConfig kept;
+  kept.topology.backhaul_network = {5.0, 0.01};
+  kept.topology.backhaul_heterogeneous = net::HeterogeneousNetworkConfig{};
+  kept.topology.shard_seed = 99;
+  kept.apply_comm_spec(parse_codec_spec("fedsz:topology=hier:2"));
+  EXPECT_EQ(kept.topology.backhaul_network, (net::NetworkProfile{5.0, 0.01}));
+  EXPECT_TRUE(kept.topology.backhaul_heterogeneous.has_value());
+  EXPECT_EQ(kept.topology.shard_seed, 99u);
 }
 
 TEST(AggregationTreeTest, OwnershipAndConstructionGuards) {
